@@ -126,6 +126,13 @@ PCSTALL_THREADS=8 cargo run -q --release --bin repro -- fuzz --count 25 --seed 4
 echo "==> trace record/load/run round trip (16-workload suite)"
 cargo test -q -p scenarios --test trace_roundtrip --test malformed_corpus
 
+# One envelope-attack harness over every framed format: every prefix
+# truncation, every single-byte flip, bad magic, future version and
+# declared length +/-1 of PCKT traces, PCWR frames and PCSN snapshots must
+# each be a typed error — never a panic, never Ok.
+echo "==> framed-format malformed corpus (PCKT, PCWR, PCSN)"
+cargo test -q --test malformed_corpus
+
 echo "==> scenarios smoke bench (trace codec + fuzz/oracle rates)"
 PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench scenarios
 

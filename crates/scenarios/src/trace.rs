@@ -12,12 +12,12 @@
 //!
 //! Two encodings share one data model:
 //!
-//! * **binary** (`.pckt`) — the canonical interchange form: an 10-byte
-//!   header (`PCKT` magic, little-endian `u16` version, `u32` payload
-//!   length) followed by a varint-packed payload and a trailing CRC-32.
-//!   Every parse failure is a typed [`TraceError`] naming the offending
-//!   byte offset and field — truncation, bit flips, future versions and
-//!   out-of-range fields are all rejected before an [`App`] is built.
+//! * **binary** (`.pckt`) — the canonical interchange form: a varint-packed
+//!   payload in the shared [`snapshot::envelope`] (`PCKT` magic, version,
+//!   length, CRC-32). Every parse failure is a typed [`TraceError`] naming
+//!   the offending byte offset and field — truncation, bit flips, future
+//!   versions and out-of-range fields are all rejected before an [`App`]
+//!   is built.
 //! * **text** (`.pckt.txt`) — a line-oriented, human-authorable form with
 //!   the same information content; [`parse_text`] reports the offending
 //!   line and reason. All fields are integers, so the text round trip is
@@ -27,7 +27,7 @@
 //!
 //! [`VERSION`] identifies the payload layout. Parsers accept exactly the
 //! versions they understand ([`SUPPORTED_VERSIONS`]) and reject anything
-//! newer with [`TraceError::UnsupportedVersion`] — a trace is a portable
+//! newer with [`EnvelopeError::UnsupportedVersion`] — a trace is a portable
 //! artifact, so silent best-effort decoding of a future layout is never
 //! acceptable. Layout changes bump [`VERSION`]; additive changes must
 //! append (old parsers then reject on trailing bytes, which is the
@@ -35,8 +35,8 @@
 
 use gpu_sim::isa::Op;
 use gpu_sim::kernel::{AddressPattern, App, Kernel, LoopInfo};
-use snapshot::codec::{Decoder, Encoder};
-use snapshot::crc32::crc32;
+use snapshot::codec::Encoder;
+use snapshot::envelope::{self, EnvelopeError, Fields};
 use std::fmt;
 
 /// Magic bytes opening every binary trace.
@@ -47,58 +47,14 @@ pub const VERSION: u16 = 1;
 pub const SUPPORTED_VERSIONS: [u16; 1] = [1];
 /// First line of every text-form trace.
 pub const TEXT_HEADER: &str = "pckt-text v1";
-/// Header bytes before the payload: magic + version + payload length.
-const HEADER_LEN: usize = 10;
-/// Trailing CRC-32 bytes.
-const CRC_LEN: usize = 4;
 
 /// Everything that can go wrong reading a trace. Every variant names the
 /// location of the failure (byte offset for binary, line number for text)
 /// so a bad trace is diagnosable from the message alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The buffer ended before the named field could be read.
-    Truncated {
-        /// Byte offset at which the read was attempted.
-        offset: usize,
-        /// The field being read.
-        field: &'static str,
-    },
-    /// The first four bytes are not [`MAGIC`].
-    BadMagic {
-        /// What was found instead.
-        found: [u8; 4],
-    },
-    /// The header declares a version this parser does not understand.
-    UnsupportedVersion {
-        /// The declared version.
-        found: u16,
-        /// The versions this parser accepts.
-        supported: &'static [u16],
-    },
-    /// The header's payload length disagrees with the buffer size.
-    LengthMismatch {
-        /// Payload length declared in the header.
-        declared: usize,
-        /// Payload bytes actually present.
-        actual: usize,
-    },
-    /// The payload failed its CRC-32 check (bit corruption).
-    Crc {
-        /// Checksum stored in the trailer.
-        stored: u32,
-        /// Checksum computed over the payload.
-        computed: u32,
-    },
-    /// A field decoded but its value is out of range.
-    Field {
-        /// The field that failed.
-        field: &'static str,
-        /// Byte offset of the field within the payload.
-        offset: usize,
-        /// Why the value was rejected.
-        reason: String,
-    },
+    /// The binary envelope or a payload field failed to decode.
+    Envelope(EnvelopeError),
     /// A kernel decoded structurally but failed semantic validation
     /// (dangling branch target, undefined pattern/loop reference, empty
     /// dispatch).
@@ -107,13 +63,6 @@ pub enum TraceError {
         kernel: String,
         /// The validation failure.
         reason: String,
-    },
-    /// Bytes remained after the last declared record.
-    TrailingBytes {
-        /// Offset of the first unconsumed payload byte.
-        offset: usize,
-        /// How many bytes were left over.
-        remaining: usize,
     },
     /// A text-form trace failed to parse.
     Text {
@@ -124,35 +73,18 @@ pub enum TraceError {
     },
 }
 
+impl From<EnvelopeError> for TraceError {
+    fn from(e: EnvelopeError) -> Self {
+        TraceError::Envelope(e)
+    }
+}
+
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::Truncated { offset, field } => {
-                write!(f, "trace truncated at byte {offset} while reading {field}")
-            }
-            TraceError::BadMagic { found } => {
-                write!(f, "not a kernel trace: magic {found:02x?} (expected {MAGIC:02x?})")
-            }
-            TraceError::UnsupportedVersion { found, supported } => {
-                write!(f, "trace version {found} not supported (this parser reads {supported:?})")
-            }
-            TraceError::LengthMismatch { declared, actual } => {
-                write!(f, "header declares {declared}-byte payload but {actual} bytes follow")
-            }
-            TraceError::Crc { stored, computed } => {
-                write!(f, "payload CRC mismatch: stored {stored:08x}, computed {computed:08x}")
-            }
-            TraceError::Field { field, offset, reason } => {
-                write!(f, "bad field {field} at payload byte {offset}: {reason}")
-            }
+            TraceError::Envelope(e) => write!(f, "kernel trace: {e}"),
             TraceError::Invalid { kernel, reason } => {
                 write!(f, "kernel `{kernel}` failed validation: {reason}")
-            }
-            TraceError::TrailingBytes { offset, remaining } => {
-                write!(
-                    f,
-                    "{remaining} trailing byte(s) after the last record (payload byte {offset})"
-                )
             }
             TraceError::Text { line, reason } => write!(f, "text trace line {line}: {reason}"),
         }
@@ -193,15 +125,7 @@ pub fn record(app: &App) -> Vec<u8> {
             encode_op(&mut payload, op);
         }
     }
-    let payload = payload.into_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CRC_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    envelope::seal(MAGIC, VERSION, &payload.into_bytes())
 }
 
 fn encode_pattern(w: &mut Encoder, p: &AddressPattern) {
@@ -269,79 +193,6 @@ fn encode_op(w: &mut Encoder, op: &Op) {
 // Parsing (bytes → App)
 // ---------------------------------------------------------------------------
 
-/// A field-aware cursor over the payload: every read is attributed to a
-/// named field, so a decode failure reports *which* field broke and at
-/// what payload offset.
-struct Cursor<'a> {
-    dec: Decoder<'a>,
-    len: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(payload: &'a [u8]) -> Self {
-        Cursor { dec: Decoder::new(payload), len: payload.len() }
-    }
-
-    fn offset(&self) -> usize {
-        self.len - self.dec.remaining()
-    }
-
-    fn map_err<T>(
-        &self,
-        field: &'static str,
-        offset: usize,
-        r: Result<T, snapshot::SnapError>,
-    ) -> Result<T, TraceError> {
-        r.map_err(|_| TraceError::Truncated { offset, field })
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, TraceError> {
-        let at = self.offset();
-        let v = self.dec.take_u8();
-        self.map_err(field, at, v)
-    }
-
-    fn u16(&mut self, field: &'static str) -> Result<u16, TraceError> {
-        let at = self.offset();
-        let v = self.dec.take_u16();
-        self.map_err(field, at, v)
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, TraceError> {
-        let at = self.offset();
-        let v = self.dec.take_u32();
-        self.map_err(field, at, v)
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, TraceError> {
-        let at = self.offset();
-        let v = self.dec.take_u64();
-        self.map_err(field, at, v)
-    }
-
-    fn str(&mut self, field: &'static str) -> Result<String, TraceError> {
-        let at = self.offset();
-        let v = self.dec.take_str();
-        Ok(self.map_err(field, at, v)?.to_string())
-    }
-
-    /// A count field, bounded so a corrupted length cannot drive a
-    /// multi-gigabyte allocation before the CRC would have caught it.
-    fn count(&mut self, field: &'static str, max: usize) -> Result<usize, TraceError> {
-        let at = self.offset();
-        let v = self.dec.take_usize();
-        let n = self.map_err(field, at, v)?;
-        if n > max {
-            return Err(TraceError::Field {
-                field,
-                offset: at,
-                reason: format!("count {n} exceeds the format limit {max}"),
-            });
-        }
-        Ok(n)
-    }
-}
-
 /// Upper bounds on record counts; a well-formed trace sits far below
 /// these, so exceeding one is always corruption (or abuse), rejected with
 /// a typed error naming the count field.
@@ -365,62 +216,29 @@ mod limits {
 /// A [`TraceError`] naming the failure site; parsing never panics, for
 /// any input whatsoever (pinned by the malformed-corpus tests).
 pub fn parse(bytes: &[u8]) -> Result<App, TraceError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(TraceError::Truncated { offset: bytes.len(), field: "header" });
-    }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("slice length checked");
-    if magic != MAGIC {
-        return Err(TraceError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("slice length checked"));
-    if !SUPPORTED_VERSIONS.contains(&version) {
-        return Err(TraceError::UnsupportedVersion {
-            found: version,
-            supported: &SUPPORTED_VERSIONS,
-        });
-    }
-    let declared =
-        u32::from_le_bytes(bytes[6..10].try_into().expect("slice length checked")) as usize;
-    let body = &bytes[HEADER_LEN..];
-    if body.len() < CRC_LEN || body.len() - CRC_LEN != declared {
-        return Err(TraceError::LengthMismatch {
-            declared,
-            actual: body.len().saturating_sub(CRC_LEN),
-        });
-    }
-    let payload = &body[..declared];
-    let stored = u32::from_le_bytes(body[declared..].try_into().expect("slice length checked"));
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(TraceError::Crc { stored, computed });
-    }
-    parse_payload(payload)
+    // Traces have no payload cap beyond the header's u32 length field.
+    parse_payload(envelope::open(bytes, MAGIC, &SUPPORTED_VERSIONS, usize::MAX)?)
 }
 
 fn parse_payload(payload: &[u8]) -> Result<App, TraceError> {
-    let mut c = Cursor::new(payload);
-    let app_name = c.str("app.name")?;
+    let mut c = Fields::new(payload);
+    let app_name = c.str("app.name", usize::MAX)?.to_string();
     let n_kernels = c.count("app.kernels", limits::KERNELS)?;
     if n_kernels == 0 {
-        return Err(TraceError::Field {
-            field: "app.kernels",
-            offset: c.offset(),
-            reason: "an application must launch at least one kernel".into(),
-        });
+        let why = "an application must launch at least one kernel";
+        return Err(EnvelopeError::field("app.kernels", c.offset(), why).into());
     }
     let mut kernels = Vec::with_capacity(n_kernels);
     for _ in 0..n_kernels {
         kernels.push(parse_kernel(&mut c)?);
     }
-    if c.dec.remaining() != 0 {
-        return Err(TraceError::TrailingBytes { offset: c.offset(), remaining: c.dec.remaining() });
-    }
+    c.finish()?;
     App::new(app_name, kernels)
         .map_err(|reason| TraceError::Invalid { kernel: "<app>".into(), reason })
 }
 
-fn parse_kernel(c: &mut Cursor<'_>) -> Result<Kernel, TraceError> {
-    let name = c.str("kernel.name")?;
+fn parse_kernel(c: &mut Fields<'_>) -> Result<Kernel, TraceError> {
+    let name = c.str("kernel.name", usize::MAX)?.to_string();
     let workgroups = c.u32("kernel.workgroups")?;
     let wg_wavefronts = c.u8("kernel.wavefronts")?;
     let seed = c.u64("kernel.seed")?;
@@ -444,7 +262,7 @@ fn parse_kernel(c: &mut Cursor<'_>) -> Result<Kernel, TraceError> {
     Ok(k)
 }
 
-fn parse_pattern(c: &mut Cursor<'_>) -> Result<AddressPattern, TraceError> {
+fn parse_pattern(c: &mut Fields<'_>) -> Result<AddressPattern, EnvelopeError> {
     let at = c.offset();
     let tag = c.u8("pattern.tag")?;
     Ok(match tag {
@@ -467,27 +285,20 @@ fn parse_pattern(c: &mut Cursor<'_>) -> Result<AddressPattern, TraceError> {
             region: c.u64("pattern.region")?,
         },
         t => {
-            return Err(TraceError::Field {
-                field: "pattern.tag",
-                offset: at,
-                reason: format!("unknown address-pattern tag {t} (valid: 0..=4)"),
-            })
+            let why = format!("unknown address-pattern tag {t} (valid: 0..=4)");
+            return Err(EnvelopeError::field("pattern.tag", at, why));
         }
     })
 }
 
-fn parse_op(c: &mut Cursor<'_>) -> Result<Op, TraceError> {
+fn parse_op(c: &mut Fields<'_>) -> Result<Op, EnvelopeError> {
     let at = c.offset();
     let tag = c.u8("op.tag")?;
     Ok(match tag {
         0 => {
             let lat = c.u8("op.valu.lat")?;
             if lat == 0 {
-                return Err(TraceError::Field {
-                    field: "op.valu.lat",
-                    offset: at,
-                    reason: "VALU latency must be >= 1".into(),
-                });
+                return Err(EnvelopeError::field("op.valu.lat", at, "VALU latency must be >= 1"));
             }
             Op::Valu { lat }
         }
@@ -499,11 +310,8 @@ fn parse_op(c: &mut Cursor<'_>) -> Result<Op, TraceError> {
         6 => Op::Branch { target: c.u32("op.branch.target")?, slot: c.u8("op.branch.slot")? },
         7 => Op::EndKernel,
         t => {
-            return Err(TraceError::Field {
-                field: "op.tag",
-                offset: at,
-                reason: format!("unknown opcode tag {t} (valid: 0..=7)"),
-            })
+            let why = format!("unknown opcode tag {t} (valid: 0..=7)");
+            return Err(EnvelopeError::field("op.tag", at, why));
         }
     })
 }
@@ -916,38 +724,6 @@ mod tests {
         assert_eq!(i.kernels, 2);
         assert_eq!(i.version, VERSION);
         assert_eq!(i.bytes, bytes.len());
-    }
-
-    #[test]
-    fn bad_magic_is_typed() {
-        let mut bytes = record(&sample_app());
-        bytes[0] = b'X';
-        assert!(matches!(parse(&bytes), Err(TraceError::BadMagic { .. })));
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let mut bytes = record(&sample_app());
-        bytes[4] = 0xFF;
-        let e = parse(&bytes).unwrap_err();
-        assert!(matches!(e, TraceError::UnsupportedVersion { found: 0xFF, .. }), "{e}");
-    }
-
-    #[test]
-    fn crc_flip_detected() {
-        let mut bytes = record(&sample_app());
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - CRC_LEN) / 2;
-        bytes[mid] ^= 0x40;
-        assert!(matches!(parse(&bytes), Err(TraceError::Crc { .. })));
-    }
-
-    #[test]
-    fn truncation_names_offset() {
-        let bytes = record(&sample_app());
-        let e = parse(&bytes[..HEADER_LEN - 2]).unwrap_err();
-        assert!(matches!(e, TraceError::Truncated { .. }), "{e}");
-        let e = parse(&bytes[..bytes.len() - 1]).unwrap_err();
-        assert!(matches!(e, TraceError::LengthMismatch { .. }), "{e}");
     }
 
     #[test]

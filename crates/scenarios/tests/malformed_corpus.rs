@@ -1,101 +1,35 @@
-//! Malformed-trace corpus: every way a trace file can be corrupted must
-//! surface as a *typed* [`scenarios::trace::TraceError`] naming the
+//! Malformed-trace payload corpus: every CRC-valid but malformed payload
+//! must surface as a *typed* [`scenarios::trace::TraceError`] naming the
 //! offending offset/field — never a panic, never a silently wrong app.
 //!
-//! The corpus covers the envelope (truncated header, bad magic, future
-//! version, declared-length mismatch, CRC flip, trailing bytes), the
-//! payload (out-of-range counts and field values behind a *valid* CRC,
-//! which is the adversarial case CRC cannot catch), exhaustive
-//! single-byte flips and every prefix truncation of a real trace, and
-//! the text form's line-addressed errors.
+//! The corpus covers out-of-range counts and field values behind a
+//! *valid* CRC (the adversarial case the checksum cannot catch), kernels
+//! that fail semantic validation, and the text form's line-addressed
+//! errors. Envelope attacks (truncation, flips, magic, version, length)
+//! run for every framed format in the root `tests/malformed_corpus.rs`.
 
 use scenarios::trace::{self, TraceError, MAGIC, VERSION};
+use snapshot::envelope::{self, EnvelopeError};
 use snapshot::Encoder;
-use workloads::registry::Scale;
-
-fn sample_trace() -> Vec<u8> {
-    trace::record(&workloads::by_name("dgemm", Scale::Quick).expect("registered"))
-}
 
 /// Wraps an arbitrary payload in a structurally valid envelope (correct
 /// magic, current version, matching declared length and CRC), so parse
 /// failures land in the payload decoder rather than the envelope checks.
-fn envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&snapshot::crc32::crc32(payload).to_le_bytes());
-    out
+fn sealed(payload: Encoder) -> Vec<u8> {
+    envelope::seal(MAGIC, VERSION, &payload.into_bytes())
 }
 
-#[test]
-fn truncated_header_is_typed() {
-    let bytes = sample_trace();
-    for len in 0..10 {
-        match trace::parse(&bytes[..len]) {
-            Err(TraceError::Truncated { .. }) => {}
-            other => panic!("header truncated to {len} bytes: expected Truncated, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn bad_magic_is_typed() {
-    let mut bytes = sample_trace();
-    bytes[0] = b'X';
-    match trace::parse(&bytes) {
-        Err(TraceError::BadMagic { found }) => assert_eq!(&found, b"XCKT"),
-        other => panic!("expected BadMagic, got {other:?}"),
-    }
-}
-
-#[test]
-fn future_version_is_typed_and_names_supported() {
-    let mut bytes = sample_trace();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    match trace::parse(&bytes) {
-        Err(e @ TraceError::UnsupportedVersion { found: 99, .. }) => {
-            assert!(e.to_string().contains('1'), "{e}");
-        }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
-    }
-}
-
-#[test]
-fn declared_length_mismatch_is_typed() {
-    let mut bytes = sample_trace();
-    let declared = u32::from_le_bytes(bytes[6..10].try_into().unwrap());
-    bytes[6..10].copy_from_slice(&(declared + 1).to_le_bytes());
-    assert!(
-        matches!(
-            trace::parse(&bytes),
-            Err(TraceError::LengthMismatch { .. } | TraceError::Truncated { .. })
-        ),
-        "inflated declared length must be rejected"
-    );
-}
-
-#[test]
-fn crc_flip_is_typed() {
-    let mut bytes = sample_trace();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    match trace::parse(&bytes) {
-        Err(TraceError::Crc { stored, computed }) => assert_ne!(stored, computed),
-        other => panic!("expected Crc, got {other:?}"),
-    }
-}
-
-#[test]
-fn trailing_bytes_are_typed() {
-    let mut bytes = sample_trace();
-    bytes.push(0);
-    assert!(
-        matches!(trace::parse(&bytes), Err(TraceError::LengthMismatch { .. })),
-        "appended garbage must be rejected"
-    );
+/// An app named `evil` with one kernel `k0`, encoded up to (not
+/// including) its pattern count.
+fn kernel_prefix() -> Encoder {
+    let mut payload = Encoder::new();
+    payload.put_str("evil");
+    payload.put_usize(1); // kernels
+    payload.put_str("k0");
+    payload.put_u32(1); // workgroups
+    payload.put_u8(1); // wg_wavefronts
+    payload.put_u64(7); // seed
+    payload
 }
 
 #[test]
@@ -105,8 +39,8 @@ fn out_of_range_kernel_count_is_a_field_error() {
     let mut payload = Encoder::new();
     payload.put_str("evil");
     payload.put_usize(usize::MAX >> 8);
-    match trace::parse(&envelope(&payload.into_bytes())) {
-        Err(e @ TraceError::Field { .. }) => {
+    match trace::parse(&sealed(payload)) {
+        Err(e @ TraceError::Envelope(EnvelopeError::Field { .. })) => {
             assert!(e.to_string().contains("app.kernels"), "{e}");
         }
         other => panic!("expected Field error on kernel count, got {other:?}"),
@@ -117,19 +51,15 @@ fn out_of_range_kernel_count_is_a_field_error() {
 fn out_of_range_op_tag_is_a_field_error() {
     // One kernel whose single op carries tag 0xEE — structurally well
     // formed, semantically meaningless.
-    let mut payload = Encoder::new();
-    payload.put_str("evil");
-    payload.put_usize(1); // kernels
-    payload.put_str("k0");
-    payload.put_u32(1); // workgroups
-    payload.put_u8(1); // wg_wavefronts
-    payload.put_u64(7); // seed
+    let mut payload = kernel_prefix();
     payload.put_usize(0); // patterns
     payload.put_usize(0); // loops
     payload.put_usize(1); // code
     payload.put_u8(0xEE); // bogus op tag
-    match trace::parse(&envelope(&payload.into_bytes())) {
-        Err(e @ TraceError::Field { .. }) => assert!(e.to_string().contains("op"), "{e}"),
+    match trace::parse(&sealed(payload)) {
+        Err(e @ TraceError::Envelope(EnvelopeError::Field { .. })) => {
+            assert!(e.to_string().contains("op"), "{e}")
+        }
         other => panic!("expected Field error on op tag, got {other:?}"),
     }
 }
@@ -139,41 +69,45 @@ fn semantically_invalid_kernel_is_typed() {
     // Structurally perfect payload whose kernel fails `Kernel::validate`
     // (no EndKernel terminator): the parser must surface Invalid, not
     // hand back an app the simulator would reject.
-    let mut payload = Encoder::new();
-    payload.put_str("evil");
-    payload.put_usize(1);
-    payload.put_str("k0");
-    payload.put_u32(1);
-    payload.put_u8(1);
-    payload.put_u64(7);
+    let mut payload = kernel_prefix();
     payload.put_usize(0); // patterns
     payload.put_usize(0); // loops
     payload.put_usize(1); // code: a lone Salu, no terminator
     payload.put_u8(1);
-    match trace::parse(&envelope(&payload.into_bytes())) {
+    match trace::parse(&sealed(payload)) {
         Err(TraceError::Invalid { kernel, .. }) => assert_eq!(kernel, "k0"),
         other => panic!("expected Invalid, got {other:?}"),
     }
 }
 
 #[test]
-fn every_prefix_truncation_errors_without_panic() {
-    let bytes = sample_trace();
-    for len in 0..bytes.len() {
-        assert!(trace::parse(&bytes[..len]).is_err(), "prefix of {len} bytes must not parse");
+fn loop_trips_wider_than_u16_is_a_field_error() {
+    // 70 000 trips is a well-formed varint that does not fit the u16
+    // field: the codec's range rejection must surface as a field error,
+    // not as truncation.
+    let mut payload = kernel_prefix();
+    payload.put_usize(0); // patterns
+    payload.put_usize(1); // loops
+    payload.put_u64(70_000); // trips
+    payload.put_u16(0); // jitter
+    match trace::parse(&sealed(payload)) {
+        Err(TraceError::Envelope(EnvelopeError::Field { field: "loop.trips", reason, .. })) => {
+            assert!(reason.contains("u16"), "{reason}");
+        }
+        other => panic!("expected Field error on loop.trips, got {other:?}"),
     }
 }
 
 #[test]
-fn every_single_byte_flip_errors_without_panic() {
-    // The CRC covers the payload and the header fields are individually
-    // validated, so no single-byte corruption may survive to an Ok — and
-    // none may panic.
-    let bytes = sample_trace();
-    for i in 0..bytes.len() {
-        let mut corrupt = bytes.clone();
-        corrupt[i] ^= 0xFF;
-        assert!(trace::parse(&corrupt).is_err(), "flip at byte {i} must be rejected");
+fn overlong_varint_count_is_a_field_error() {
+    // An 11-byte varint kernel count: CRC-valid, never a valid LEB128 u64.
+    let mut payload = Encoder::new();
+    payload.put_str("evil");
+    payload.put_raw(&[0x80; 10]);
+    payload.put_u8(0);
+    match trace::parse(&sealed(payload)) {
+        Err(TraceError::Envelope(EnvelopeError::Field { field: "app.kernels", .. })) => {}
+        other => panic!("expected Field error on app.kernels, got {other:?}"),
     }
 }
 

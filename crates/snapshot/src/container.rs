@@ -135,6 +135,12 @@ impl<'a> ContainerReader<'a> {
             let crc = h.take_u32()?;
             table.push((name, payload_len, crc));
         }
+        // Bounds before checksums: a short input is reported as truncated
+        // without first checksumming the sections that did arrive.
+        let total = table.iter().try_fold(0usize, |sum, &(_, len, _)| sum.checked_add(len));
+        if total.is_none_or(|total| total > bytes.len() - h.pos) {
+            return Err(SnapError::Truncated);
+        }
         let mut sections = Vec::with_capacity(table.len());
         for (name, len, crc) in table {
             let payload = h.take(len)?;

@@ -8,12 +8,15 @@
 //! written explicitly, in a fixed order, by a hand-written [`Snapshot`]
 //! implementation that mirrors the simulator's manual `clone_from` chain.
 //!
-//! Three layers, bottom up:
+//! Four modules, bottom up:
 //!
 //! * [`codec`] — a varint-packed [`codec::Encoder`]/[`codec::Decoder`] pair
 //!   and the [`Snapshot`] trait with implementations for primitives,
 //!   `Option`, `Vec`, tuples and strings. Decoding is total: malformed
 //!   input yields a typed [`SnapError`], never a panic.
+//! * [`envelope`] — the single-payload framed envelope (magic, version,
+//!   length, CRC-32) shared by the kernel-trace and wire formats, with
+//!   one error type and one field-attributed payload cursor.
 //! * [`container`] — the on-disk/file format: magic + format version +
 //!   named section table with a CRC-32 per section
 //!   ([`container::ContainerWriter`] / [`container::ContainerReader`]).
@@ -34,6 +37,7 @@
 pub mod codec;
 pub mod container;
 pub mod crc32;
+pub mod envelope;
 pub mod error;
 pub mod store;
 

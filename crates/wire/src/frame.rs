@@ -1,29 +1,23 @@
-//! The PCWR frame codec: a versioned, length-prefixed, CRC-32-checked
-//! envelope carrying the policy server's request/response surface.
+//! The PCWR frame codec: the policy server's request/response surface
+//! inside the shared [`snapshot::envelope`] (`PCWR` magic, version,
+//! length, CRC-32).
 //!
-//! Grammar (all integers little-endian, payload fields LEB128 unless
-//! noted):
-//!
-//! ```text
-//! frame   := magic:4 "PCWR" | version:u16 | payload_len:u32
-//!          | payload:payload_len | crc32(payload):u32
-//! payload := type:u8 | fields…
-//! ```
-//!
-//! The CRC covers the whole payload including the type byte, so a single
+//! The payload is `type:u8 | fields…`, fields LEB128 unless noted. The
+//! CRC covers the whole payload including the type byte, so a single
 //! flipped bit anywhere past the fixed header is caught by the checksum
 //! rather than by whatever the misdecoded field happens to mean. Every
 //! parse failure is a typed [`FrameError`] naming the byte offset and
-//! field — truncation, bad magic, future versions, length or CRC
-//! mismatches, out-of-range fields, and trailing bytes are all distinct,
-//! diagnosable rejections. Declared lengths and element counts are
-//! checked against hard limits *before* any count-sized allocation, so a
-//! CRC-valid adversarial payload cannot make the decoder balloon.
+//! field. Declared lengths and element counts are checked against hard
+//! [`limits`] *before* any count-sized allocation, so a CRC-valid
+//! adversarial payload cannot make the decoder balloon.
 
 use serve::{Decision, Rung, SubmitOutcome, TelemetryBatch, TenantRecord};
-use snapshot::codec::{Decoder, Encoder};
-use snapshot::crc32::crc32;
-use std::fmt;
+use snapshot::codec::Encoder;
+use snapshot::envelope::{self, Fields};
+
+/// Everything that can go wrong decoding a frame: the shared envelope
+/// error, under the name the wire layer has always exported.
+pub use snapshot::envelope::EnvelopeError as FrameError;
 
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"PCWR";
@@ -31,10 +25,6 @@ pub const MAGIC: [u8; 4] = *b"PCWR";
 pub const VERSION: u16 = 1;
 /// Payload-layout versions this parser understands.
 pub const SUPPORTED_VERSIONS: [u16; 1] = [1];
-/// Header bytes before the payload: magic + version + payload length.
-pub const HEADER_LEN: usize = 10;
-/// Trailing CRC-32 bytes.
-pub const CRC_LEN: usize = 4;
 
 /// Hard limits applied before any count-sized allocation. A frame that
 /// declares more than these is rejected with [`FrameError::Field`] while
@@ -53,96 +43,6 @@ pub mod limits {
     /// Maximum bytes of reject detail text.
     pub const MAX_DETAIL: usize = 1024;
 }
-
-/// Everything that can go wrong decoding a frame. Every variant names the
-/// location of the failure so a hostile or corrupted peer is diagnosable
-/// from the error alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// The buffer ended before the named field could be read.
-    Truncated {
-        /// Byte offset at which the read was attempted (envelope-relative
-        /// for header fields, payload-relative past the header).
-        offset: usize,
-        /// The field being read.
-        field: &'static str,
-    },
-    /// The first four bytes are not [`MAGIC`].
-    BadMagic {
-        /// What was found instead.
-        found: [u8; 4],
-    },
-    /// The header declares a version this parser does not understand.
-    UnsupportedVersion {
-        /// The declared version.
-        found: u16,
-        /// The versions this parser accepts.
-        supported: &'static [u16],
-    },
-    /// The header's payload length disagrees with the bytes present.
-    LengthMismatch {
-        /// Payload length declared in the header.
-        declared: usize,
-        /// Payload bytes actually present.
-        actual: usize,
-    },
-    /// The payload failed its CRC-32 check (bit corruption in flight).
-    Crc {
-        /// Checksum stored in the trailer.
-        stored: u32,
-        /// Checksum computed over the payload.
-        computed: u32,
-    },
-    /// A field decoded but its value is out of range.
-    Field {
-        /// The field that failed.
-        field: &'static str,
-        /// Byte offset of the field within the payload.
-        offset: usize,
-        /// Why the value was rejected.
-        reason: String,
-    },
-    /// Bytes remained in the payload after the last field.
-    TrailingBytes {
-        /// Payload offset of the first unconsumed byte.
-        offset: usize,
-        /// How many bytes were left over.
-        remaining: usize,
-    },
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Truncated { offset, field } => {
-                write!(f, "frame truncated at byte {offset} while reading {field}")
-            }
-            FrameError::BadMagic { found } => {
-                write!(f, "not a wire frame: magic {found:02x?} (expected {MAGIC:02x?})")
-            }
-            FrameError::UnsupportedVersion { found, supported } => {
-                write!(f, "frame version {found} not supported (this parser reads {supported:?})")
-            }
-            FrameError::LengthMismatch { declared, actual } => {
-                write!(f, "header declares {declared}-byte payload but {actual} bytes follow")
-            }
-            FrameError::Crc { stored, computed } => {
-                write!(f, "payload CRC mismatch: stored {stored:08x}, computed {computed:08x}")
-            }
-            FrameError::Field { field, offset, reason } => {
-                write!(f, "bad field {field} at payload byte {offset}: {reason}")
-            }
-            FrameError::TrailingBytes { offset, remaining } => {
-                write!(
-                    f,
-                    "{remaining} trailing byte(s) after the last field (payload byte {offset})"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
 
 /// An opaque credential a reconnecting tenant presents to prove it is the
 /// session it claims to be. Issued in every [`Frame::HelloAck`]; the
@@ -482,167 +382,32 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     }
     let payload = w.into_bytes();
     debug_assert!(payload.len() <= limits::MAX_PAYLOAD);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CRC_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    envelope::seal(MAGIC, VERSION, &payload)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A field-aware cursor over the payload: every read is attributed to a
-/// named field, so a decode failure reports *which* field broke and at
-/// what payload offset.
-struct Cursor<'a> {
-    dec: Decoder<'a>,
-    len: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(payload: &'a [u8]) -> Self {
-        Cursor { dec: Decoder::new(payload), len: payload.len() }
-    }
-
-    fn offset(&self) -> usize {
-        self.len - self.dec.remaining()
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, FrameError> {
-        let offset = self.offset();
-        self.dec.take_u8().map_err(|_| FrameError::Truncated { offset, field })
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, FrameError> {
-        let offset = self.offset();
-        self.dec.take_u32().map_err(|_| FrameError::Truncated { offset, field })
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, FrameError> {
-        let offset = self.offset();
-        self.dec.take_u64().map_err(|_| FrameError::Truncated { offset, field })
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, FrameError> {
-        let offset = self.offset();
-        self.dec.take_f64().map_err(|_| FrameError::Truncated { offset, field })
-    }
-
-    fn boolean(&mut self, field: &'static str) -> Result<bool, FrameError> {
-        let offset = self.offset();
-        self.dec.take_bool().map_err(|_| FrameError::Field {
-            field,
-            offset,
-            reason: "not a boolean".into(),
-        })
-    }
-
-    /// An element count, range-checked against `max` *before* the caller
-    /// allocates anything count-sized.
-    fn count(&mut self, field: &'static str, max: usize) -> Result<usize, FrameError> {
-        let offset = self.offset();
-        let n = self.dec.take_usize().map_err(|_| FrameError::Truncated { offset, field })?;
-        if n > max {
-            return Err(FrameError::Field {
-                field,
-                offset,
-                reason: format!("count {n} exceeds limit {max}"),
-            });
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self, field: &'static str, max: usize) -> Result<String, FrameError> {
-        let offset = self.offset();
-        let s = self.dec.take_str().map_err(|_| FrameError::Truncated { offset, field })?;
-        if s.len() > max {
-            return Err(FrameError::Field {
-                field,
-                offset,
-                reason: format!("length {} exceeds limit {max}", s.len()),
-            });
-        }
-        Ok(s.to_string())
-    }
-
-    fn token(&mut self) -> Result<ResumeToken, FrameError> {
-        Ok(ResumeToken { tenant: self.u64("token.tenant")?, auth: self.u64("token.auth")? })
-    }
-
-    fn finish(self) -> Result<(), FrameError> {
-        let remaining = self.dec.remaining();
-        if remaining != 0 {
-            return Err(FrameError::TrailingBytes { offset: self.len - remaining, remaining });
-        }
-        Ok(())
-    }
-}
-
-/// Splits one envelope into its payload, verifying magic, version,
-/// declared length, and CRC. `buf` must contain exactly one frame.
-fn check_envelope(buf: &[u8]) -> Result<&[u8], FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Truncated { offset: buf.len(), field: "magic" });
-    }
-    let found = [buf[0], buf[1], buf[2], buf[3]];
-    if found != MAGIC {
-        return Err(FrameError::BadMagic { found });
-    }
-    if buf.len() < 6 {
-        return Err(FrameError::Truncated { offset: 4, field: "version" });
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if !SUPPORTED_VERSIONS.contains(&version) {
-        return Err(FrameError::UnsupportedVersion {
-            found: version,
-            supported: &SUPPORTED_VERSIONS,
-        });
-    }
-    if buf.len() < HEADER_LEN {
-        return Err(FrameError::Truncated { offset: 6, field: "payload length" });
-    }
-    let declared = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]) as usize;
-    if declared > limits::MAX_PAYLOAD {
-        return Err(FrameError::Field {
-            field: "payload length",
-            offset: 6,
-            reason: format!("declares {declared} bytes, limit {}", limits::MAX_PAYLOAD),
-        });
-    }
-    let actual = buf.len().saturating_sub(HEADER_LEN + CRC_LEN);
-    if declared != actual {
-        return Err(FrameError::LengthMismatch { declared, actual });
-    }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + declared];
-    let crc_bytes = &buf[HEADER_LEN + declared..];
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(FrameError::Crc { stored, computed });
-    }
-    Ok(payload)
+fn token(c: &mut Fields<'_>) -> Result<ResumeToken, FrameError> {
+    Ok(ResumeToken { tenant: c.u64("token.tenant")?, auth: c.u64("token.auth")? })
 }
 
 fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Fields::new(payload);
     let t = c.u8("frame type")?;
     let frame = match t {
         tag::HELLO => {
             let tenant = c.u64("hello.tenant")?;
             let tier = c.u8("hello.tier")?;
-            let resume = if c.boolean("hello.has_resume")? { Some(c.token()?) } else { None };
+            let resume = if c.bool("hello.has_resume")? { Some(token(&mut c)?) } else { None };
             Frame::Hello { tenant, tier, resume }
         }
         tag::HELLO_ACK => Frame::HelloAck {
             epoch: c.u64("hello_ack.epoch")?,
             last_seq: c.u64("hello_ack.last_seq")?,
-            resumed: c.boolean("hello_ack.resumed")?,
-            token: c.token()?,
+            resumed: c.bool("hello_ack.resumed")?,
+            token: token(&mut c)?,
         },
         tag::SUBMIT => {
             let seq = c.u64("submit.seq")?;
@@ -674,11 +439,8 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
                 },
                 3 => WireOutcome::Duplicate,
                 v => {
-                    return Err(FrameError::Field {
-                        field: "submit_ack.outcome",
-                        offset,
-                        reason: format!("unknown outcome tag {v}"),
-                    })
+                    let why = format!("unknown outcome tag {v}");
+                    return Err(FrameError::field("submit_ack.outcome", offset, why));
                 }
             };
             Frame::SubmitAck { seq, outcome }
@@ -695,20 +457,7 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
                 let epoch = c.u64("decision.epoch")?;
                 let tenant = c.u64("decision.tenant")?;
                 let freq_mhz = c.u32("decision.freq_mhz")?;
-                let offset = c.offset();
-                let rung = match c.u8("decision.rung")? {
-                    0 => Rung::Normal,
-                    1 => Rung::Hold,
-                    2 => Rung::Stall,
-                    3 => Rung::Safe,
-                    v => {
-                        return Err(FrameError::Field {
-                            field: "decision.rung",
-                            offset,
-                            reason: format!("unknown rung tag {v}"),
-                        })
-                    }
-                };
+                let rung = c.tag("decision.rung", Rung::from_tag)?;
                 let predicted = c.f64("decision.predicted")?;
                 decisions.push(Decision { epoch, tenant, freq_mhz, rung, predicted });
             }
@@ -716,19 +465,11 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
             let mut notices = Vec::with_capacity(n);
             for _ in 0..n {
                 let epoch = c.u64("notice.epoch")?;
-                let offset = c.offset();
-                let kind = match c.u8("notice.kind")? {
-                    0 => NoticeKind::Admitted,
-                    1 => NoticeKind::Evicted,
-                    2 => NoticeKind::Restored,
-                    v => {
-                        return Err(FrameError::Field {
-                            field: "notice.kind",
-                            offset,
-                            reason: format!("unknown notice tag {v}"),
-                        })
-                    }
-                };
+                let kind = c.tag("notice.kind", |t| {
+                    [NoticeKind::Admitted, NoticeKind::Evicted, NoticeKind::Restored]
+                        .get(usize::from(t))
+                        .copied()
+                })?;
                 notices.push(Notice { epoch, kind });
             }
             Frame::Decisions { epoch, decisions, notices }
@@ -750,16 +491,10 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
         }),
         tag::REJECT => Frame::Reject {
             code: c.u8("reject.code")?,
-            detail: c.string("reject.detail", limits::MAX_DETAIL)?,
+            detail: c.str("reject.detail", limits::MAX_DETAIL)?.to_string(),
         },
         tag::BYE => Frame::Bye,
-        v => {
-            return Err(FrameError::Field {
-                field: "frame type",
-                offset: 0,
-                reason: format!("unknown frame tag {v}"),
-            })
-        }
+        v => return Err(FrameError::field("frame type", 0, format!("unknown frame tag {v}"))),
     };
     c.finish()?;
     Ok(frame)
@@ -768,8 +503,7 @@ fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
 /// Decodes exactly one frame from `buf`, rejecting trailing bytes after
 /// the envelope. The streaming path is [`FrameReader`].
 pub fn decode_frame(buf: &[u8]) -> Result<Frame, FrameError> {
-    let payload = check_envelope(buf)?;
-    decode_payload(payload)
+    decode_payload(envelope::open(buf, MAGIC, &SUPPORTED_VERSIONS, limits::MAX_PAYLOAD)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -821,44 +555,18 @@ impl FrameReader {
     }
 
     fn try_next(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
-            // Reject a garbage prefix as soon as it is identifiable —
-            // don't wait for a full header that will never make sense.
-            if self.buf.len() >= 4 {
-                let found = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
-                if found != MAGIC {
-                    return Err(FrameError::BadMagic { found });
-                }
+        // A garbage header is rejected as soon as it is identifiable —
+        // don't wait for a frame that will never make sense.
+        let total =
+            envelope::frame_len(&self.buf, MAGIC, &SUPPORTED_VERSIONS, limits::MAX_PAYLOAD)?;
+        match total {
+            Some(total) if self.buf.len() >= total => {
+                let frame = decode_frame(&self.buf[..total])?;
+                self.buf.drain(..total);
+                Ok(Some(frame))
             }
-            return Ok(None);
+            _ => Ok(None),
         }
-        let found = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
-        if found != MAGIC {
-            return Err(FrameError::BadMagic { found });
-        }
-        let version = u16::from_le_bytes([self.buf[4], self.buf[5]]);
-        if !SUPPORTED_VERSIONS.contains(&version) {
-            return Err(FrameError::UnsupportedVersion {
-                found: version,
-                supported: &SUPPORTED_VERSIONS,
-            });
-        }
-        let declared =
-            u32::from_le_bytes([self.buf[6], self.buf[7], self.buf[8], self.buf[9]]) as usize;
-        if declared > limits::MAX_PAYLOAD {
-            return Err(FrameError::Field {
-                field: "payload length",
-                offset: 6,
-                reason: format!("declares {declared} bytes, limit {}", limits::MAX_PAYLOAD),
-            });
-        }
-        let total = HEADER_LEN + declared + CRC_LEN;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let frame = decode_frame(&self.buf[..total])?;
-        self.buf.drain(..total);
-        Ok(Some(frame))
     }
 }
 

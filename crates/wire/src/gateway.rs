@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use exec::WorkerPool;
 use serve::{Decision, PolicyServer, ServerConfig};
-use snapshot::{fnv1a64, ContainerReader, ContainerWriter, SnapError};
+use snapshot::{envelope, fnv1a64, ContainerReader, ContainerWriter, SnapError};
 
 use crate::frame::{
     encode_frame, limits, reject, Frame, FrameError, FrameReader, Notice, NoticeKind, ResumeToken,
@@ -503,7 +503,7 @@ impl Conn {
         Conn {
             reader: FrameReader::new(),
             bound: None,
-            budget: limits::MAX_PAYLOAD + crate::frame::HEADER_LEN + crate::frame::CRC_LEN,
+            budget: limits::MAX_PAYLOAD + envelope::HEADER_LEN + envelope::CRC_LEN,
         }
     }
 

@@ -74,6 +74,13 @@ PCSTALL_SIM_LANES=1 cargo test -q -p gpu-sim --test lane_determinism
 echo "==> lane determinism @ PCSTALL_SIM_LANES=4"
 PCSTALL_SIM_LANES=4 cargo test -q -p gpu-sim --test lane_determinism
 
+# Bit-exactness oracle for the simulator: epoch stats, snapshot bytes and
+# run-to-completion over the Table II suite at 1 and 4 lanes, plus retimed
+# runs on 64 and 12 CUs, must match the committed digests line for line.
+echo "==> gpu-sim suite digest (diff against suite_digest.expected)"
+cargo run -q --release -p gpu-sim --example suite_digest \
+  | diff crates/gpu-sim/examples/suite_digest.expected -
+
 # The parsim smoke re-measures only the serial-lane baseline probe and
 # fails if it regressed >10% vs the committed BENCH_parsim.json: the lane
 # seam must stay free when unused.

@@ -113,8 +113,8 @@ impl RunObserver for HeapWatch {
 }
 
 /// Datapoint (not a timing): the event queue must stay bounded on a long
-/// power-capped run, where every epoch retimes CUs and each retiming used
-/// to leave a stale heap entry behind.
+/// power-capped run, where every epoch retimes CUs: a retime overwrites
+/// the CU's one entry, so the queue never holds more than one per CU.
 fn heap_bound_datapoint() {
     let app = workloads::by_name("hacc", workloads::Scale::Quick).unwrap();
     let mut cfg = RunConfig::paper(PolicyKind::Reactive(CuEstimator::Crisp));
@@ -127,9 +127,7 @@ fn heap_bound_datapoint() {
     let mut watch = HeapWatch::default();
     session.run(&mut [&mut watch]);
     let n_cus = cfg.gpu.n_cus;
-    // Compaction triggers above (4 * n_cus).max(64) entries; anything near
-    // that ceiling (plus one epoch's worth of pushes) is bounded.
-    let bound = 2 * (4 * n_cus).max(64) + n_cus;
+    let bound = n_cus;
     println!(
         "event_queue_max_len: {} entries over {} power-capped epochs ({} CUs; bound {})",
         watch.max_len,
@@ -139,7 +137,7 @@ fn heap_bound_datapoint() {
     );
     assert!(
         watch.max_len <= bound,
-        "event queue grew past its compaction bound: {} > {}",
+        "event queue grew past one entry per CU: {} > {}",
         watch.max_len,
         bound
     );

@@ -14,7 +14,7 @@
 //!   so the speedup is pure skipped work.
 //!
 //! Set `PCSTALL_BENCH_SMOKE=1` for single-iteration rounds (the CI smoke
-//! path).
+//! path); smoke runs only print, leaving the committed JSON untouched.
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::gpu::Gpu;
@@ -122,6 +122,11 @@ fn main() {
         cold_s * 1e3,
         warm_s * 1e3,
     );
+
+    if smoke {
+        println!("[snapshot] smoke OK (committed BENCH_snapshot.json untouched)");
+        return;
+    }
 
     let json = format!(
         "{{\n  \"bench\": \"snapshot\",\n  \"workload\": \"comd-quick/tiny/1us\",\n  \

@@ -1,7 +1,7 @@
 //! Allocation probe for the hot-path allocation-freedom gate.
 //!
 //! The steady-state epoch loop is designed to be allocation-free: every
-//! buffer it touches (wheel buckets, scheduler scratch, telemetry
+//! buffer it touches (event queue, scheduler scratch, telemetry
 //! vectors) is reused in place after warmup. This module gives tests a
 //! way to *enforce* that instead of trusting it.
 //!

@@ -687,23 +687,33 @@ impl Cu {
         app_kernels: &[Kernel],
         ready: &mut Vec<u32>,
     ) -> StepOutcome {
-        self.collect_ready(now, ready);
-        self.step_selected(now, mem, app_kernels, ready)
+        let wake = self.collect_ready(now, ready);
+        self.step_selected(now, mem, app_kernels, ready, wake)
     }
 
     /// Fills `ready` with the slots of wavefronts ready at `now`, in age
-    /// order — the scheduler's arbitration input. `sched_order` is already
-    /// age-sorted, so this is a filter over two dense arrays with no sort.
-    /// Split out of [`Cu::step`] so the lane scheduler can classify a step
-    /// (local vs. global) and then execute it without re-collecting.
-    fn collect_ready(&self, now: Femtos, ready: &mut Vec<u32>) {
+    /// order — the scheduler's arbitration input — and returns the earliest
+    /// wait among the others not blocked at a barrier ([`IDLE`] if none):
+    /// the wake-up [`Cu::step_selected`] skips to when nothing is ready.
+    /// `sched_order` is already age-sorted, so this is one pass over two
+    /// dense arrays with no sort. Split out of [`Cu::step`] so the lane
+    /// scheduler can classify a step (local vs. global) and then execute
+    /// it without re-collecting.
+    fn collect_ready(&self, now: Femtos, ready: &mut Vec<u32>) -> Femtos {
         ready.clear();
+        let mut wake = IDLE;
         for &slot in &self.sched_order {
             let i = slot as usize;
-            if self.wf_state[i] & WF_BARRIER == 0 && self.wf_wait[i] <= now {
-                ready.push(slot);
+            if self.wf_state[i] & WF_BARRIER == 0 {
+                let wait = self.wf_wait[i];
+                if wait <= now {
+                    ready.push(slot);
+                } else {
+                    wake = wake.min(wait);
+                }
             }
         }
+        wake
     }
 
     /// Classifies the step that would execute at `now` with arbitration
@@ -794,11 +804,11 @@ impl Cu {
             if vulnerable {
                 return LaneStop::Yield(t);
             }
-            self.collect_ready(t, ready);
+            let wake = self.collect_ready(t, ready);
             if self.classify_step(app_kernels, ready) != StepClass::Local {
                 return LaneStop::Yield(t);
             }
-            let out = self.step_selected(t, &mut LocalOnly, app_kernels, ready);
+            let out = self.step_selected(t, &mut LocalOnly, app_kernels, ready, wake);
             debug_assert_eq!(out.workgroups_done, 0, "local step retired a workgroup");
         }
     }
@@ -841,7 +851,7 @@ impl Cu {
             if t >= window_end {
                 return LaneStop::Parked;
             }
-            self.collect_ready(t, ready);
+            let wake = self.collect_ready(t, ready);
             let class = self.classify_step(app_kernels, ready);
             if t >= horizon {
                 // Other lanes' shared steps may interleave from here on:
@@ -851,25 +861,27 @@ impl Cu {
                 if self.free_slots() >= dispatch_slots || class != StepClass::Local {
                     return LaneStop::Yield(t);
                 }
-                let out = self.step_selected(t, &mut LocalOnly, app_kernels, ready);
+                let out = self.step_selected(t, &mut LocalOnly, app_kernels, ready, wake);
                 debug_assert_eq!(out.workgroups_done, 0, "local step retired a workgroup");
             } else {
                 if class == StepClass::Dispatch {
                     return LaneStop::Yield(t);
                 }
-                let out = self.step_selected(t, mem, app_kernels, ready);
+                let out = self.step_selected(t, mem, app_kernels, ready, wake);
                 debug_assert_eq!(out.workgroups_done, 0, "non-dispatch step retired a workgroup");
             }
         }
     }
 
-    /// The body of [`Cu::step`] with the arbitration input precomputed.
+    /// The body of [`Cu::step`] with the arbitration input and the
+    /// not-ready wake-up precomputed by [`Cu::collect_ready`].
     fn step_selected<M: MemoryPort>(
         &mut self,
         now: Femtos,
         mem: &mut M,
         app_kernels: &[Kernel],
         ready: &[u32],
+        wake: Femtos,
     ) -> StepOutcome {
         let mut outcome = StepOutcome::default();
         if !ready.is_empty() {
@@ -886,24 +898,15 @@ impl Cu {
             self.next_cycle = now + self.period;
         } else {
             // Nothing ready: skip ahead to the next wake-up. `sched_order`
-            // holds exactly the live slots.
-            let mut wake = IDLE;
-            let mut all_barrier = true;
-            let any_live = !self.sched_order.is_empty();
-            for &slot in &self.sched_order {
-                let i = slot as usize;
-                if self.wf_state[i] & WF_BARRIER == 0 {
-                    all_barrier = false;
-                    wake = wake.min(self.wf_wait[i]);
-                }
-            }
-            if !any_live {
+            // holds exactly the live slots, and with none ready `wake` is
+            // `IDLE` only if every one of them waits at a barrier.
+            if self.sched_order.is_empty() {
                 self.gap_class = Gap::Idle;
                 self.next_cycle = IDLE;
                 return outcome;
             }
             assert!(
-                !all_barrier,
+                wake != IDLE,
                 "CU {}: all live wavefronts blocked at a barrier (kernel deadlock)",
                 self.id
             );

@@ -12,7 +12,7 @@ use crate::kernel::{App, Kernel};
 use crate::lanes;
 use crate::mem::MemSystem;
 use crate::stats::{CuEpochStats, EpochStats};
-use crate::time::{EventWheel, Femtos, Frequency};
+use crate::time::{Femtos, Frequency, WakeTree};
 use exec::WorkerPool;
 use snapshot::{ContainerReader, ContainerWriter, SnapError, Snapshot};
 use std::sync::Arc;
@@ -221,10 +221,11 @@ pub struct Gpu {
     app: Arc<App>,
     launch: LaunchState,
     now: Femtos,
-    /// The event queue: an arena-backed calendar wheel with exact per-CU
-    /// live/stale bookkeeping. Pop order is the old heap's `(time, cu)`
-    /// lexicographic order (pinned by property test in `time.rs`).
-    wheel: EventWheel,
+    /// The event queue: every CU's `next_cycle` in a winner tree, taken in
+    /// `(time, cu)` order. Each serial step, retime and dispatch that moves
+    /// a `next_cycle` sets it here; a sharded window or a snapshot load
+    /// rebuilds it from the CU clocks.
+    wake: WakeTree,
     /// Lane count for sharded execution (`PCSTALL_SIM_LANES`); 1 = the
     /// classic serial event loop. Results are bit-identical either way.
     sim_lanes: usize,
@@ -238,7 +239,7 @@ pub struct Gpu {
 ///
 /// `gpu.clone()` is the fork operation of the oracle methodology; forking
 /// every V/f state every epoch made the allocations behind it (every CU's
-/// wavefront slots, L1/L2 tag arrays, the event heap) the hottest
+/// wavefront slots, L1/L2 tag arrays, the event queue) the hottest
 /// allocation site in the whole reproduction. `fork.clone_from(&gpu)`
 /// produces the *same state bit-for-bit* as a fresh clone — the entire
 /// clone chain (`Cu`, `Wavefront`, `Cache`, `MemSystem`) copies values
@@ -257,7 +258,7 @@ impl Clone for Gpu {
             app: Arc::clone(&self.app),
             launch: self.launch,
             now: self.now,
-            wheel: self.wheel.clone(),
+            wake: self.wake.clone(),
             sim_lanes: self.sim_lanes,
             lane_pool: self.lane_pool.clone(),
             scratch: CollectScratch::default(),
@@ -274,7 +275,7 @@ impl Clone for Gpu {
             app,
             launch,
             now,
-            wheel,
+            wake,
             sim_lanes,
             lane_pool,
             scratch: _, // the destination keeps its own (stateless) scratch
@@ -287,8 +288,7 @@ impl Clone for Gpu {
         }
         self.launch = *launch;
         self.now = *now;
-        // EventWheel::clone_from reuses every bucket's backing vector.
-        self.wheel.clone_from(wheel);
+        self.wake.clone_from(wake);
         self.sim_lanes = *sim_lanes;
         self.lane_pool.clone_from(lane_pool);
     }
@@ -327,7 +327,7 @@ impl Gpu {
                 completion: None,
             },
             now: Femtos::ZERO,
-            wheel: EventWheel::new(cfg.n_cus),
+            wake: WakeTree::new(cfg.n_cus),
             sim_lanes: lanes::lanes_from_env(),
             lane_pool: None,
             scratch: CollectScratch::default(),
@@ -398,11 +398,6 @@ impl Gpu {
     /// Sets one CU's frequency. If the frequency actually changes, the CU
     /// stalls for `transition` (the IVR/FLL settling time) from the current
     /// simulation time.
-    ///
-    /// Retiming a scheduled CU leaves its old heap entry behind as a stale
-    /// duplicate; when those accumulate past a small multiple of the CU
-    /// count (fine-grain DVFS retimes every domain every epoch) the event
-    /// queue is rebuilt from the live `next_cycle` values.
     pub fn set_cu_frequency(&mut self, cu: usize, freq: Frequency, transition: Femtos) {
         if self.cus[cu].frequency() == freq {
             return;
@@ -411,8 +406,7 @@ impl Gpu {
         if self.cus[cu].next_cycle != IDLE {
             let stalled = (self.now + transition).max(self.cus[cu].next_cycle);
             self.cus[cu].next_cycle = stalled;
-            self.push_event(stalled, cu);
-            self.maybe_compact_heap();
+            self.wake.set(cu, stalled);
         }
     }
 
@@ -433,51 +427,15 @@ impl Gpu {
         self.mem.begin_epoch();
     }
 
-    /// Number of entries (live + stale) in the event queue. Exposed so
-    /// benchmarks and tests can check that stale-entry compaction keeps the
-    /// queue bounded over long power-capped runs.
+    /// Number of entries in the event queue: one per scheduled CU, so never
+    /// more than [`Gpu::n_cus`].
     pub fn event_queue_len(&self) -> usize {
-        self.wheel.len()
+        self.wake.scheduled()
     }
 
-    /// Number of event-queue entries known to be stale (superseded by a
-    /// retime or a duplicate push). Exposed for compaction tests.
-    pub fn stale_event_entries(&self) -> usize {
-        self.wheel.stale()
-    }
-
-    /// Pushes an event. The wheel tracks per-CU liveness itself: a CU has
-    /// at most one live entry (its latest push), so each push that
-    /// supersedes one counts it stale — an exact tally, not a heuristic.
-    fn push_event(&mut self, t: Femtos, cu: usize) {
-        self.wheel.push(t, cu);
-    }
-
-    /// Rebuilds the event queue from live `next_cycle` values once stale
-    /// entries dominate (> half the queue, above a small floor so bursts
-    /// of retiming don't thrash the rebuild). Semantics-preserving: stale
-    /// entries are skipped by [`Gpu::run_until`] anyway, and rebuild keeps
-    /// at most one entry per scheduled CU. Checked at every staleness
-    /// source — retimes, stale-entry pops, and run entry — so heavy
-    /// per-epoch retiming keeps the queue bounded by the floor rather than
-    /// growing until a size heuristic notices.
-    fn maybe_compact_heap(&mut self) {
-        let floor = (2 * self.cus.len()).max(64);
-        if self.wheel.len() <= floor || self.wheel.stale() * 2 <= self.wheel.len() {
-            return;
-        }
-        self.compact_heap();
-    }
-
-    /// Unconditionally rebuilds the canonical event queue: one entry per
-    /// scheduled CU, zero stale.
-    fn compact_heap(&mut self) {
-        self.wheel.clear();
-        for (i, cu) in self.cus.iter().enumerate() {
-            if cu.next_cycle != IDLE {
-                self.wheel.push(cu.next_cycle, i);
-            }
-        }
+    /// Rebuilds the event queue from the CU clocks.
+    fn rebuild_wake(&mut self) {
+        self.wake.rebuild(self.cus.iter().map(|cu| cu.next_cycle));
     }
 
     /// Advances simulation until `end` (exclusive). Events at or after
@@ -496,71 +454,27 @@ impl Gpu {
         }
     }
 
-    /// The classic serial event loop: pop `(time, cu)` in lexicographic
-    /// order, step that CU against the shared memory system.
-    ///
-    /// With a same-CU fast path: after stepping CU `i`, if its next cycle
-    /// provably precedes every queued event in `(time, cu)` order (and is
-    /// still inside the window), the loop steps it again directly instead
-    /// of routing through the wheel. Compute-bound phases, where one CU
-    /// strings many consecutive cycles ahead of the rest, skip most of
-    /// their event-queue traffic this way; the execution order is
-    /// identical to popping by construction of the guard.
+    /// The classic serial event loop: take the earliest `(time, cu)`, step
+    /// that CU against the shared memory system, retire its finished
+    /// workgroups and re-queue it at its new `next_cycle`.
     fn run_until_serial(&mut self, end: Femtos) {
-        self.maybe_compact_heap();
         // Allocation-freedom gate (debug builds, armed probe only): the
         // steady-state window must not allocate — see `alloc_probe`.
         let alloc_mark =
             (cfg!(debug_assertions) && crate::alloc_probe::armed()).then(crate::alloc_probe::count);
         let app = Arc::clone(&self.app);
-        while let Some((t, i)) = self.wheel.peek() {
+        loop {
+            let (t, i) = self.wake.min();
             if t >= end {
                 break;
             }
-            let (_, _, was_live) = self.wheel.pop().expect("peeked entry pops");
-            debug_assert_eq!(
-                was_live,
-                self.cus[i].next_cycle == t,
-                "wheel liveness disagrees with CU {i} at {t}"
-            );
-            if self.cus[i].next_cycle != t {
-                // Stale entry, superseded by a later push for this CU.
-                self.maybe_compact_heap();
-                continue;
+            debug_assert_eq!(self.cus[i].next_cycle, t, "wake tree disagrees with CU {i}");
+            let outcome =
+                self.cus[i].step_with(t, &mut self.mem, &app.kernels, &mut self.scratch.ready);
+            for _ in 0..outcome.workgroups_done {
+                self.on_workgroup_done(t);
             }
-            let mut t = t;
-            loop {
-                let outcome =
-                    self.cus[i].step_with(t, &mut self.mem, &app.kernels, &mut self.scratch.ready);
-                let dispatched = outcome.workgroups_done > 0;
-                for _ in 0..outcome.workgroups_done {
-                    self.on_workgroup_done(t);
-                }
-                let next = self.cus[i].next_cycle;
-                if next == IDLE {
-                    break;
-                }
-                if dispatched && self.wheel.live_time(i) == Some(next) {
-                    // Retiring a workgroup re-dispatched onto this CU and
-                    // already queued its (re-anchored) next step.
-                    break;
-                }
-                if next >= end {
-                    self.push_event(next, i);
-                    break;
-                }
-                match self.wheel.peek() {
-                    Some((t2, j)) if (t2, j) < (next, i) => {
-                        self.push_event(next, i);
-                        break;
-                    }
-                    // Nothing queued precedes (next, i): stepping now is
-                    // exactly the order popping would have produced. An
-                    // equal queued entry can only be a stale duplicate of
-                    // this CU; it is skipped when popped.
-                    _ => t = next,
-                }
-            }
+            self.wake.set(i, self.cus[i].next_cycle);
         }
         if let Some(mark) = alloc_mark {
             debug_assert_eq!(
@@ -592,10 +506,9 @@ impl Gpu {
             end,
         );
         self.now = end;
-        // Leave the event queue canonical (one entry per scheduled CU) so
-        // serial execution, `event_queue_len` and snapshots all remain
-        // oblivious to which mode ran the window.
-        self.compact_heap();
+        // The lanes moved the CU clocks without the tree: re-sync it so the
+        // serial loop can take over at any window.
+        self.rebuild_wake();
     }
 
     /// Runs one epoch of `duration`, returning its telemetry.
@@ -659,7 +572,7 @@ impl Gpu {
     /// meter observes the retired-instruction watermark (the sum of
     /// per-CU epoch-committed counters, monotone here because this loop
     /// never crosses an epoch boundary); a full window of chunks with no
-    /// retirement, or an event heap that drains while work is still
+    /// retirement, or an event queue that drains while work is still
     /// outstanding, yields [`RunOutcome::NoProgress`]. Detection is part
     /// of the deterministic simulation (no wall clock), so a stall
     /// reproduces at the identical simulated time on every rerun.
@@ -700,11 +613,9 @@ impl Gpu {
     ///
     /// The encode mirrors the manual `Clone` above: the same exhaustive
     /// destructuring, so adding a field without updating this path is a
-    /// compile error. The event queue is written in *canonical* form — the
-    /// sorted `(next_cycle, cu)` list derived from the live CU clocks, not
-    /// the raw heap — which drops stale duplicates (they would be skipped
-    /// on replay anyway) and makes the byte stream independent of both the
-    /// heap's internal layout and the execution mode that produced the
+    /// compile error. The event queue is written as the sorted
+    /// `(next_cycle, cu)` list derived from the live CU clocks, which makes
+    /// the byte stream independent of the execution mode that produced the
     /// state: serial and sharded runs of the same simulation snapshot to
     /// identical bytes. A GPU restored by [`Gpu::load_snapshot`] is
     /// *bit-exact*: stepping it produces the same event stream, stats and
@@ -726,7 +637,7 @@ impl Gpu {
                     completion,
                 },
             now,
-            wheel: _,     // canonical form derived from `cus` below
+            wake: _,      // canonical form derived from `cus` below
             sim_lanes: _, // host execution knob, not simulator state
             lane_pool: _, // host resource
             scratch: _,   // stateless epoch scratch; rebuilt on load
@@ -763,9 +674,11 @@ impl Gpu {
     /// section CRC), every cross-structure invariant `Gpu::new` would
     /// establish is re-validated: CU count and ids against the config,
     /// wavefront-slot geometry, memory-system config and per-CU miss-port
-    /// count, kernel launch-state bounds, and event-queue indices. A
-    /// corrupted or internally inconsistent snapshot yields a typed error,
-    /// never a panicking simulator.
+    /// count, kernel launch-state bounds, and the event list: its indices
+    /// must be in range and every scheduled CU must have an entry at
+    /// exactly its `next_cycle` (entries matching no clock are legacy stale
+    /// duplicates and are ignored). A corrupted or internally inconsistent
+    /// snapshot yields a typed error, never a panicking simulator.
     pub fn load_snapshot(bytes: &[u8]) -> Result<Gpu, SnapError> {
         let c = ContainerReader::parse(bytes)?;
         let mut r = c.section("config")?;
@@ -843,26 +756,23 @@ impl Gpu {
                 )));
             }
         }
-        for &(_, i) in &events {
+        let mut queued = vec![false; cfg.n_cus];
+        for &(t, i) in &events {
             if i >= cfg.n_cus {
                 return Err(SnapError::invalid(format!(
                     "event queue references CU {i} of {}",
                     cfg.n_cus
                 )));
             }
+            queued[i] |= cus[i].next_cycle == t;
         }
-
-        // Wheel bookkeeping is derived, not stored: snapshots written by
-        // this version carry the canonical (stale-free) event list, while
-        // older snapshots may carry duplicates. Only the entry matching a
-        // CU's scheduled cycle is live; anything else is stale — exactly.
-        let mut wheel = EventWheel::new(cfg.n_cus);
-        for &(t, i) in &events {
-            let live = wheel.live_time(i).is_none() && cus[i].next_cycle == t;
-            wheel.insert_for_load(t, i, live);
+        if let Some(i) = (0..cfg.n_cus).find(|&i| cus[i].next_cycle != IDLE && !queued[i]) {
+            return Err(SnapError::invalid(format!(
+                "CU {i} is scheduled at {} but the event queue has no entry for it",
+                cus[i].next_cycle
+            )));
         }
-
-        Ok(Gpu {
+        let mut gpu = Gpu {
             cfg,
             cus,
             mem,
@@ -877,27 +787,29 @@ impl Gpu {
                 completion,
             },
             now,
-            wheel,
+            wake: WakeTree::new(cfg.n_cus),
             sim_lanes: lanes::lanes_from_env(),
             lane_pool: None,
             scratch: CollectScratch::default(),
-        })
+        };
+        gpu.rebuild_wake();
+        Ok(gpu)
     }
 
     fn on_workgroup_done(&mut self, t: Femtos) {
         let app = Arc::clone(&self.app);
-        let Gpu { cus, launch, wheel, .. } = self;
+        let Gpu { cus, launch, wake, .. } = self;
         launch.on_workgroup_done(t, &app.kernels, &mut SliceCus(cus), &mut |cu, next| {
-            wheel.push(next, cu);
+            wake.set(cu, next);
         });
     }
 
     /// Dispatches as many pending workgroups as fit, round-robin over CUs.
     fn fill_cus(&mut self, t: Femtos) {
         let app = Arc::clone(&self.app);
-        let Gpu { cus, launch, wheel, .. } = self;
+        let Gpu { cus, launch, wake, .. } = self;
         launch.fill_cus(t, &app.kernels, &mut SliceCus(cus), &mut |cu, next| {
-            wheel.push(next, cu);
+            wake.set(cu, next);
         });
     }
 }
@@ -979,10 +891,10 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::tiny(), compute_app_trips(64, 400));
         gpu.run_until(Femtos::from_micros(1));
         assert!(!gpu.is_done());
-        gpu.wheel.clear();
         for cu in &mut gpu.cus {
             cu.next_cycle = IDLE;
         }
+        gpu.rebuild_wake();
         match gpu.run_to_outcome(Femtos::from_micros(1000)) {
             RunOutcome::NoProgress { now, committed } => {
                 assert_eq!(now, Femtos::from_micros(1), "detected before any time passes");
@@ -1183,13 +1095,11 @@ mod tests {
     #[test]
     fn retiming_keeps_event_queue_bounded() {
         // Heavy per-epoch retiming (fine-grain DVFS retimes every domain
-        // every epoch) must not grow the event queue: each retime leaves a
-        // stale duplicate behind, and compaction now triggers on the stale
-        // *fraction* at every staleness source rather than on a size
-        // heuristic at run entry only.
+        // every epoch) must not grow the event queue: a retime overwrites
+        // the CU's one entry, so the queue never exceeds one per CU.
         let mut gpu = Gpu::new(GpuConfig::tiny(), compute_app_trips(64, 2000));
         let all: Vec<usize> = (0..gpu.n_cus()).collect();
-        let bound = (2 * gpu.n_cus()).max(64) + 1;
+        let bound = gpu.n_cus();
         let mut max_len = 0;
         for e in 0..300 {
             // Alternate between two frequencies so every epoch actually
@@ -1214,10 +1124,10 @@ mod tests {
         gpu.set_sim_lanes(4);
         gpu.run_until(Femtos::from_micros(1));
         assert!(!gpu.is_done());
-        gpu.wheel.clear();
         for cu in &mut gpu.cus {
             cu.next_cycle = IDLE;
         }
+        gpu.rebuild_wake();
         match gpu.run_to_outcome(Femtos::from_micros(1000)) {
             RunOutcome::NoProgress { now, committed } => {
                 assert_eq!(now, Femtos::from_micros(1));

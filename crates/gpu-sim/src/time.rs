@@ -3,8 +3,10 @@
 //! All simulated time is tracked in integer **femtoseconds** so that the
 //! simulator is exactly deterministic and cloneable (required by the
 //! fork–pre-execute oracle). Frequencies are tracked in integer **MHz**,
-//! matching the paper's 100 MHz-step V/f states.
+//! matching the paper's 100 MHz-step V/f states. `WakeTree` orders the
+//! CUs' wake-up times for the serial event loop.
 
+use crate::cu::IDLE;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -276,393 +278,103 @@ impl Default for Frequency {
     }
 }
 
-/// Bucket width of the [`EventWheel`] ring: 2^19 fs ≈ 0.52 ns, about one
-/// CU cycle across the 1300–2200 MHz V/f range, so a bucket usually holds
-/// the events of a single cycle.
-const WHEEL_SHIFT: u32 = 19;
-/// Ring size (power of two). `WHEEL_BUCKETS << WHEEL_SHIFT` ≈ 1.07 µs of
-/// horizon — a full default epoch — so steady-state events never spill to
-/// the overflow list.
-const WHEEL_BUCKETS: usize = 2048;
-/// Sentinel for "no live entry" in the per-CU live-time table.
-const NO_LIVE: Femtos = Femtos(u64::MAX);
-/// Sentinel for "overflow list is empty" in the cached overflow minimum;
-/// compares greater than every real `(time, cu)` entry.
-const OVER_NONE: (Femtos, u32) = (Femtos(u64::MAX), u32::MAX);
-
-/// Calendar-queue event wheel for the simulator's `(time, cu)` events.
+/// The simulator's event queue: each CU's next wake-up in a winner
+/// (tournament) tree.
 ///
-/// Replaces the global `BinaryHeap`: events land in a ring of time buckets
-/// (width [`WHEEL_SHIFT`], one bucket ≈ one CU cycle) indexed by
-/// `time >> WHEEL_SHIFT mod WHEEL_BUCKETS`, with an occupancy bitmap for
-/// fast next-bucket scans and an overflow list for events beyond the ring
-/// horizon (or landing on a slot held by a far-future bucket). Pop order
-/// is exactly the old heap's lexicographic `(time, cu)` order (pinned by
-/// property test against a `BinaryHeap` reference).
-///
-/// Storage is arena-style: buckets and the overflow list keep their
-/// allocations across `clear`/`rebuild`, and `clone_from` reuses the
-/// destination's buffers, so steady-state simulation pushes and pops
-/// without touching the allocator.
-///
-/// The wheel also owns the per-CU event bookkeeping the `Gpu` used to
-/// approximate externally, and keeps it *exact*: `live[cu]` is the time of
-/// the CU's most recent push (its only possibly-live entry — every earlier
-/// entry for that CU is superseded by construction), so the stale tally
-/// counts precisely the entries that will be skipped on pop, with no
-/// over-approximation and no saturating corrections.
+/// A CU has at most one live wake-up — its `next_cycle` — so the queue is
+/// a fixed set of `n_cus` keys whose values change, never a growing
+/// multiset: re-timing a CU overwrites its leaf instead of leaving a stale
+/// entry behind. The tree has `n_cus.next_power_of_two()` leaves (padding
+/// and unscheduled CUs hold [`IDLE`]) and every inner node holds the
+/// smaller `(time, cu)` of its children, so [`WakeTree::min`] is the root
+/// and [`WakeTree::set`] replays one leaf-to-root path. Ties go to the
+/// lower CU index: the same lexicographic `(time, cu)` order the serial
+/// loop has always stepped CUs in.
 #[derive(Debug)]
-pub struct EventWheel {
-    /// Monotone watermark: every entry in the wheel is `>= floor`, and
-    /// pushes below it are a caller bug (debug-asserted). Advanced to the
-    /// popped time by every pop.
-    floor: Femtos,
-    /// Where the global minimum lives (see [`MinLoc`]). `Ring(slot)` is
-    /// the steady state: that bucket is sorted descending and its last
-    /// element is the minimum, so peek and pop are O(1).
-    min_loc: MinLoc,
-    /// Minimum entry in `overflow` ([`OVER_NONE`] when empty) — valid only
-    /// while `min_loc` is not `Unknown` (established by the scan, tightened
-    /// by overflow pushes). Guards the O(1) pop-from-sorted-bucket
-    /// transition: the next bucket element stays the global minimum only
-    /// while it is `<= over_min`.
-    over_min: (Femtos, u32),
-    /// The ring. Each bucket holds entries of exactly one `div` (time >>
-    /// WHEEL_SHIFT) at a time, recorded in `bucket_div`.
-    buckets: Vec<Vec<(Femtos, u32)>>,
-    /// Which div currently occupies each slot (valid iff bucket nonempty).
-    bucket_div: Vec<u64>,
-    /// Occupancy bitmap over `buckets` (bit set ⇔ bucket nonempty).
-    occupied: Vec<u64>,
-    /// Entries beyond the ring horizon, or whose slot is held by another
-    /// div. Unordered; scanned linearly (far events are rare).
-    overflow: Vec<(Femtos, u32)>,
-    /// Total entries (ring + overflow).
-    len: usize,
-    /// Entries (live + stale) currently held per CU.
-    entries: Vec<u32>,
-    /// Per-CU time of the latest pushed entry ([`NO_LIVE`] when none): the
-    /// CU's unique live entry. Everything else for that CU is stale.
-    live: Vec<Femtos>,
-    /// Exactly the number of superseded entries still in the wheel.
-    stale: usize,
+pub(crate) struct WakeTree {
+    /// Implicit binary tree: `nodes[1]` is the root, CU `i`'s leaf is
+    /// `nodes[leaves + i]`, and `nodes[0]` is unused. Nodes are keys from
+    /// [`node`].
+    nodes: Vec<u128>,
 }
 
-/// Location of the wheel's current global minimum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MinLoc {
-    /// Not cached; the next peek scans for it.
-    Unknown,
-    /// `buckets[slot]` holds the minimal occupied div, is sorted
-    /// descending, and its last element is the global minimum (which is
-    /// `<= over_floor`). Bucket divs are time-disjoint, so every other
-    /// bucket's entries are provably later.
-    Ring(usize),
-    /// `overflow[idx]` is the global minimum.
-    Over(usize),
+/// The tree key of `(t, cu)`: `t << 32 | cu`, so integer order is
+/// `(time, cu)` order and one comparison picks a winner.
+fn node(t: Femtos, cu: usize) -> u128 {
+    (u128::from(t.0) << 32) | cu as u128
 }
 
-impl Clone for EventWheel {
+/// The time half of a [`node`] key.
+fn node_time(key: u128) -> Femtos {
+    Femtos((key >> 32) as u64)
+}
+
+/// `clone_from` reuses the destination's node buffer, keeping oracle forks
+/// allocation-free.
+impl Clone for WakeTree {
     fn clone(&self) -> Self {
-        EventWheel {
-            floor: self.floor,
-            min_loc: self.min_loc,
-            over_min: self.over_min,
-            buckets: self.buckets.clone(),
-            bucket_div: self.bucket_div.clone(),
-            occupied: self.occupied.clone(),
-            overflow: self.overflow.clone(),
-            len: self.len,
-            entries: self.entries.clone(),
-            live: self.live.clone(),
-            stale: self.stale,
-        }
+        WakeTree { nodes: self.nodes.clone() }
     }
 
     fn clone_from(&mut self, src: &Self) {
-        // Exhaustive destructuring: a new field that is not copied here is
-        // a compile error. Vec::clone_from reuses the destination buffers
-        // (including each bucket's), keeping oracle forks allocation-free.
-        let EventWheel {
-            floor,
-            min_loc,
-            over_min,
-            buckets,
-            bucket_div,
-            occupied,
-            overflow,
-            len,
-            entries,
-            live,
-            stale,
-        } = src;
-        self.floor = *floor;
-        self.min_loc = *min_loc;
-        self.over_min = *over_min;
-        self.buckets.clone_from(buckets);
-        self.bucket_div.clone_from(bucket_div);
-        self.occupied.clone_from(occupied);
-        self.overflow.clone_from(overflow);
-        self.len = *len;
-        self.entries.clone_from(entries);
-        self.live.clone_from(live);
-        self.stale = *stale;
+        self.nodes.clone_from(&src.nodes);
     }
 }
 
-impl EventWheel {
-    /// An empty wheel for `n_cus` compute units.
-    pub fn new(n_cus: usize) -> Self {
-        EventWheel {
-            floor: Femtos::ZERO,
-            min_loc: MinLoc::Unknown,
-            over_min: OVER_NONE,
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            bucket_div: vec![0; WHEEL_BUCKETS],
-            occupied: vec![0; WHEEL_BUCKETS / 64],
-            overflow: Vec::new(),
-            len: 0,
-            entries: vec![0; n_cus],
-            live: vec![NO_LIVE; n_cus],
-            stale: 0,
+impl WakeTree {
+    /// A tree for `n_cus` compute units, none of them scheduled.
+    pub(crate) fn new(n_cus: usize) -> Self {
+        let leaves = n_cus.max(1).next_power_of_two();
+        let mut tree = WakeTree { nodes: vec![0; 2 * leaves] };
+        tree.rebuild(std::iter::empty());
+        tree
+    }
+
+    fn leaves(&self) -> usize {
+        self.nodes.len() / 2
+    }
+
+    /// Resets every CU's wake-up from `times` (CU order; CUs past its end
+    /// become unscheduled) in one O(n) bottom-up pass.
+    pub(crate) fn rebuild(&mut self, times: impl IntoIterator<Item = Femtos>) {
+        let leaves = self.leaves();
+        let mut times = times.into_iter();
+        for (i, leaf) in self.nodes[leaves..].iter_mut().enumerate() {
+            *leaf = node(times.next().unwrap_or(IDLE), i);
+        }
+        for k in (1..leaves).rev() {
+            self.nodes[k] = self.nodes[2 * k].min(self.nodes[2 * k + 1]);
         }
     }
 
-    /// Total entries (live + stale).
-    pub fn len(&self) -> usize {
-        self.len
+    /// The earliest `(time, cu)`, ties to the lower CU. The time is
+    /// [`IDLE`] when no CU is scheduled.
+    #[inline]
+    pub(crate) fn min(&self) -> (Femtos, usize) {
+        let key = self.nodes[1];
+        (node_time(key), key as u32 as usize)
     }
 
-    /// Whether the wheel holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exactly the number of superseded entries currently held.
-    pub fn stale(&self) -> usize {
-        self.stale
-    }
-
-    /// The time of `cu`'s live entry, if it has one.
-    pub fn live_time(&self, cu: usize) -> Option<Femtos> {
-        let t = self.live[cu];
-        (t != NO_LIVE).then_some(t)
-    }
-
-    /// Drops every entry and resets the watermark; keeps all allocations.
-    pub fn clear(&mut self) {
-        for slot in 0..WHEEL_BUCKETS {
-            self.buckets[slot].clear();
-        }
-        self.occupied.iter_mut().for_each(|w| *w = 0);
-        self.overflow.clear();
-        self.len = 0;
-        self.entries.iter_mut().for_each(|e| *e = 0);
-        self.live.iter_mut().for_each(|l| *l = NO_LIVE);
-        self.stale = 0;
-        self.floor = Femtos::ZERO;
-        self.min_loc = MinLoc::Unknown;
-        self.over_min = OVER_NONE;
-    }
-
-    /// Pushes `cu`'s next wake-up at `t`. The new entry is the CU's live
-    /// one; a previous live entry (if any) becomes stale — counted exactly,
-    /// including the same-time duplicate case, where the older of the two
-    /// identical entries is the one that goes stale.
-    pub fn push(&mut self, t: Femtos, cu: usize) {
-        debug_assert!(t >= self.floor, "push at {t} below wheel floor {}", self.floor);
-        if self.live[cu] != NO_LIVE {
-            self.stale += 1;
-        }
-        self.live[cu] = t;
-        self.entries[cu] += 1;
-        self.insert(t, cu as u32);
-    }
-
-    /// Inserts an entry restored from a snapshot, with liveness decided by
-    /// the caller (only the entry matching the CU's scheduled cycle is
-    /// live; legacy snapshots may carry stale duplicates).
-    pub(crate) fn insert_for_load(&mut self, t: Femtos, cu: usize, live: bool) {
-        if live {
-            debug_assert_eq!(self.live[cu], NO_LIVE, "CU {cu} has two live entries");
-            self.live[cu] = t;
-        } else {
-            self.stale += 1;
-        }
-        self.entries[cu] += 1;
-        self.insert(t, cu as u32);
-    }
-
-    /// The current global minimum when one is cached (`None` in the
-    /// `Unknown` state).
-    fn cached_min(&self) -> Option<(Femtos, u32)> {
-        match self.min_loc {
-            MinLoc::Unknown => None,
-            MinLoc::Ring(slot) => Some(*self.buckets[slot].last().expect("hot bucket nonempty")),
-            MinLoc::Over(idx) => Some(self.overflow[idx]),
-        }
-    }
-
-    fn insert(&mut self, t: Femtos, cu: u32) {
-        self.len += 1;
-        let div = t.0 >> WHEEL_SHIFT;
-        let slot = (div as usize) & (WHEEL_BUCKETS - 1);
-        if !self.buckets[slot].is_empty() && self.bucket_div[slot] == div {
-            if self.min_loc == MinLoc::Ring(slot) {
-                // Keep the hot bucket sorted descending so its back stays
-                // the global minimum (a smaller entry becomes the new back,
-                // which is still `< over_min` because the old back was).
-                let b = &mut self.buckets[slot];
-                let pos = b.partition_point(|&e| e > (t, cu));
-                b.insert(pos, (t, cu));
-                return;
+    /// Sets `cu`'s wake-up to `t` ([`IDLE`] unschedules it). Stops
+    /// climbing at the first inner node whose winner is unchanged: every
+    /// ancestor above it is then unchanged too.
+    #[inline]
+    pub(crate) fn set(&mut self, cu: usize, t: Femtos) {
+        let mut k = self.leaves() + cu;
+        self.nodes[k] = node(t, cu);
+        while k > 1 {
+            let winner = self.nodes[k].min(self.nodes[k ^ 1]);
+            k >>= 1;
+            if self.nodes[k] == winner {
+                break;
             }
-            self.buckets[slot].push((t, cu));
-        } else if self.buckets[slot].is_empty() {
-            self.bucket_div[slot] = div;
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.buckets[slot].push((t, cu));
-        } else {
-            // Slot held by another div (an event > the ring horizon away).
-            self.overflow.push((t, cu));
-            if (t, cu) < self.over_min {
-                self.over_min = (t, cu);
-                if let MinLoc::Over(idx) = self.min_loc {
-                    // Smaller than the cached overflow minimum: if that was
-                    // also the global minimum, the new entry now is.
-                    if (t, cu) < self.overflow[idx] {
-                        self.min_loc = MinLoc::Over(self.overflow.len() - 1);
-                        return;
-                    }
-                }
-            }
-        }
-        // An entry smaller than the cached global minimum (outside the hot
-        // bucket) invalidates the cache; the next peek rescans.
-        if let Some(min) = self.cached_min() {
-            if (t, cu) < min {
-                self.min_loc = MinLoc::Unknown;
-            }
+            self.nodes[k] = winner;
         }
     }
 
-    /// The earliest `(time, cu)` entry, in the heap's lexicographic order.
-    /// Takes `&mut self` to cache the min location until it is
-    /// invalidated; the steady state (`MinLoc::Ring`) answers in O(1).
-    pub fn peek(&mut self) -> Option<(Femtos, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.min_loc == MinLoc::Unknown {
-            self.establish_min();
-        }
-        self.cached_min().map(|(t, cu)| (t, cu as usize))
-    }
-
-    /// Locates the global minimum: walk the ring from the watermark's
-    /// bucket (bitmap-accelerated) to the first in-horizon occupied
-    /// bucket, sort it descending (making it the *hot bucket* — later
-    /// peeks and pops work off its back in O(1)), then compare against the
-    /// overflow minimum. If a full ring revolution finds nothing
-    /// in-horizon (the next event is > the horizon away), fall back to the
-    /// bucket holding the globally minimal div.
-    fn establish_min(&mut self) {
-        debug_assert!(self.len > 0);
-        let start_div = self.floor.0 >> WHEEL_SHIFT;
-        let mut ring_slot = None;
-        let mut step = 0u64;
-        while step < WHEEL_BUCKETS as u64 {
-            let div = start_div + step;
-            let slot = (div as usize) & (WHEEL_BUCKETS - 1);
-            let word = self.occupied[slot / 64];
-            if word == 0 {
-                // Hop over the whole empty bitmap word.
-                step += 64 - (slot as u64 % 64);
-                continue;
-            }
-            if word & (1 << (slot % 64)) == 0 || self.bucket_div[slot] != div {
-                step += 1;
-                continue;
-            }
-            ring_slot = Some(slot);
-            break;
-        }
-        if ring_slot.is_none() {
-            // Everything in the ring is beyond the horizon from the
-            // watermark. Buckets are div-pure and divs order times, so the
-            // minimal-div bucket holds the minimal ring entry.
-            ring_slot = (0..WHEEL_BUCKETS)
-                .filter(|&slot| !self.buckets[slot].is_empty())
-                .min_by_key(|&slot| self.bucket_div[slot]);
-        }
-        self.over_min = self.overflow.iter().copied().min().unwrap_or(OVER_NONE);
-        match ring_slot {
-            Some(slot) => {
-                let b = &mut self.buckets[slot];
-                b.sort_unstable_by(|a, b| b.cmp(a));
-                if self.over_min < *b.last().expect("occupied bucket nonempty") {
-                    let idx = self
-                        .overflow
-                        .iter()
-                        .position(|&e| e == self.over_min)
-                        .expect("over_min just scanned from overflow");
-                    self.min_loc = MinLoc::Over(idx);
-                } else {
-                    self.min_loc = MinLoc::Ring(slot);
-                }
-            }
-            None => {
-                debug_assert_ne!(self.over_min, OVER_NONE, "len > 0 but ring and overflow empty");
-                let idx = self
-                    .overflow
-                    .iter()
-                    .position(|&e| e == self.over_min)
-                    .expect("over_min just scanned from overflow");
-                self.min_loc = MinLoc::Over(idx);
-            }
-        }
-    }
-
-    /// Removes and returns the earliest entry plus whether it was the
-    /// owning CU's live entry (`false` ⇒ it was superseded and the caller
-    /// will skip it). Advances the watermark to the popped time.
-    pub fn pop(&mut self) -> Option<(Femtos, usize, bool)> {
-        let (t, cu) = self.peek()?;
-        match self.min_loc {
-            MinLoc::Ring(slot) => {
-                let b = &mut self.buckets[slot];
-                let popped = b.pop().expect("hot bucket nonempty");
-                debug_assert_eq!(popped, (t, cu as u32));
-                if b.is_empty() {
-                    self.occupied[slot / 64] &= !(1 << (slot % 64));
-                    self.min_loc = MinLoc::Unknown;
-                } else if *b.last().expect("just checked nonempty") > self.over_min {
-                    // The overflow minimum slipped below the bucket's next
-                    // entry; rescan on the next peek.
-                    self.min_loc = MinLoc::Unknown;
-                }
-                // Otherwise the hot bucket's new back is still the global
-                // minimum: the bucket is sorted, other buckets hold other
-                // (later) divs, and the overflow minimum is not smaller.
-            }
-            MinLoc::Over(idx) => {
-                self.overflow.swap_remove(idx);
-                // `over_min` is stale until the next establish_min rescan.
-                self.min_loc = MinLoc::Unknown;
-            }
-            MinLoc::Unknown => unreachable!("peek established the min location"),
-        }
-        self.len -= 1;
-        self.entries[cu] -= 1;
-        self.floor = t;
-        let was_live = self.live[cu] == t;
-        if was_live {
-            self.live[cu] = NO_LIVE;
-        } else {
-            debug_assert!(self.stale > 0, "stale pop with zero stale tally");
-            self.stale -= 1;
-        }
-        Some((t, cu, was_live))
+    /// Number of scheduled CUs (leaves not [`IDLE`]).
+    pub(crate) fn scheduled(&self) -> usize {
+        self.nodes[self.leaves()..].iter().filter(|&&key| node_time(key) != IDLE).count()
     }
 }
 
@@ -738,46 +450,6 @@ mod tests {
         assert_eq!(total, Femtos(6));
     }
 
-    /// Reference model for [`EventWheel`]: the `BinaryHeap` the simulator
-    /// used before the wheel, plus the same last-push-is-live bookkeeping.
-    /// Pop order is the heap's lexicographic `(time, cu)` order.
-    struct RefHeap {
-        heap: std::collections::BinaryHeap<std::cmp::Reverse<(Femtos, u32)>>,
-        live: Vec<Femtos>,
-        stale: usize,
-    }
-
-    impl RefHeap {
-        fn new(n_cus: usize) -> Self {
-            RefHeap {
-                heap: std::collections::BinaryHeap::new(),
-                live: vec![NO_LIVE; n_cus],
-                stale: 0,
-            }
-        }
-        fn push(&mut self, t: Femtos, cu: usize) {
-            if self.live[cu] != NO_LIVE {
-                self.stale += 1;
-            }
-            self.live[cu] = t;
-            self.heap.push(std::cmp::Reverse((t, cu as u32)));
-        }
-        fn peek(&self) -> Option<(Femtos, usize)> {
-            self.heap.peek().map(|&std::cmp::Reverse((t, cu))| (t, cu as usize))
-        }
-        fn pop(&mut self) -> Option<(Femtos, usize, bool)> {
-            let std::cmp::Reverse((t, cu)) = self.heap.pop()?;
-            let cu = cu as usize;
-            let was_live = self.live[cu] == t;
-            if was_live {
-                self.live[cu] = NO_LIVE;
-            } else {
-                self.stale -= 1;
-            }
-            Some((t, cu, was_live))
-        }
-    }
-
     fn xorshift(s: &mut u64) -> u64 {
         *s ^= *s << 13;
         *s ^= *s >> 7;
@@ -785,80 +457,57 @@ mod tests {
         *s
     }
 
-    /// The wheel's push/pop behavior is pinned against the old binary-heap
-    /// semantics over seeded random event streams: identical pop sequences
-    /// (same `(time, cu)` tie-break, same liveness flags), identical peeks,
-    /// and an identical exact stale tally after every operation. Push
-    /// deltas are drawn to hit every wheel path: same-bucket collisions,
-    /// cross-ring hops, slot collisions between different divs, and
-    /// beyond-horizon entries in the overflow list.
-    #[test]
-    fn wheel_pop_order_matches_heap_reference() {
-        const HORIZON: u64 = (WHEEL_BUCKETS as u64) << WHEEL_SHIFT;
-        for seed in 1..=8u64 {
-            let n_cus = 6;
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut wheel = EventWheel::new(n_cus);
-            let mut reference = RefHeap::new(n_cus);
-            let mut floor = Femtos::ZERO;
-            for op in 0..20_000 {
-                if wheel.is_empty() || xorshift(&mut rng) % 100 < 55 {
-                    let cu = (xorshift(&mut rng) as usize) % n_cus;
-                    let delta = match xorshift(&mut rng) % 10 {
-                        0 => 0, // same-time duplicate territory
-                        1..=5 => xorshift(&mut rng) % (1 << WHEEL_SHIFT),
-                        6..=7 => xorshift(&mut rng) % (64 << WHEEL_SHIFT),
-                        8 => xorshift(&mut rng) % HORIZON,
-                        _ => HORIZON + xorshift(&mut rng) % (4 * HORIZON),
-                    };
-                    let t = Femtos(floor.0 + delta);
-                    wheel.push(t, cu);
-                    reference.push(t, cu);
-                } else {
-                    let got = wheel.pop();
-                    let want = reference.pop();
-                    assert_eq!(got, want, "seed {seed}, op {op}: pop diverged");
-                    if let Some((t, _, _)) = got {
-                        floor = t;
-                    }
-                }
-                assert_eq!(wheel.len(), reference.heap.len(), "seed {seed}, op {op}");
-                assert_eq!(wheel.stale(), reference.stale, "seed {seed}, op {op}");
-                assert_eq!(wheel.peek(), reference.peek(), "seed {seed}, op {op}");
+    /// The reference the tree must agree with: a linear scan for the
+    /// smallest time, ties to the lowest index.
+    fn linear_min(times: &[Femtos]) -> (Femtos, usize) {
+        let mut best = (IDLE, 0);
+        for (i, &t) in times.iter().enumerate() {
+            if t < best.0 {
+                best = (t, i);
             }
-            while let Some(got) = wheel.pop() {
-                assert_eq!(Some(got), reference.pop(), "seed {seed}: drain diverged");
-            }
-            assert!(reference.pop().is_none(), "reference still had entries");
-            assert_eq!(wheel.stale(), 0);
-            assert_eq!(wheel.live_time(0), None);
         }
+        best
     }
 
-    /// The stale tally is exact (not a bound): after re-timing every CU
-    /// several times, it equals precisely the number of superseded pushes,
-    /// and draining the wheel skips exactly that many entries.
+    /// The tree's minimum is pinned against a linear scan over seeded
+    /// random `set` sequences at power-of-two and padded CU counts. Set
+    /// times are drawn to hit every tie-break and early-exit path: a small
+    /// pool of equal times, `IDLE` unschedules, and runs of repeated sets
+    /// on one CU (including re-setting its current time).
     #[test]
-    fn stale_tally_is_exact_under_retiming() {
-        let n = 4;
-        let mut w = EventWheel::new(n);
-        for round in 0..5u64 {
-            for cu in 0..n {
-                w.push(Femtos(1_000_000 + round * 1_000 + cu as u64), cu);
+    fn wake_tree_min_matches_linear_reference() {
+        for n_cus in [1, 3, 4, 5, 12, 16, 64] {
+            for seed in 1..=4u64 {
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n_cus as u64;
+                let mut tree = WakeTree::new(n_cus);
+                let mut times = vec![IDLE; n_cus];
+                assert_eq!(tree.min(), (IDLE, 0));
+                let mut cu = 0;
+                for op in 0..4_000 {
+                    if xorshift(&mut rng) % 4 < 3 {
+                        cu = (xorshift(&mut rng) as usize) % n_cus;
+                    }
+                    let t = match xorshift(&mut rng) % 8 {
+                        0 => IDLE,
+                        1 => times[cu],
+                        2..=4 => Femtos(1_000 * (xorshift(&mut rng) % 4)),
+                        _ => Femtos(xorshift(&mut rng) % 1_000_000),
+                    };
+                    tree.set(cu, t);
+                    times[cu] = t;
+                    let want = linear_min(&times);
+                    assert_eq!(tree.min(), want, "n_cus {n_cus}, seed {seed}, op {op}");
+                    let scheduled = times.iter().filter(|&&t| t != IDLE).count();
+                    assert_eq!(tree.scheduled(), scheduled, "n_cus {n_cus}, op {op}");
+                }
+                // A rebuild from the same clocks is the same tree.
+                let mut rebuilt = WakeTree::new(n_cus);
+                rebuilt.rebuild(times.iter().copied());
+                assert_eq!(rebuilt.nodes, tree.nodes, "n_cus {n_cus}, seed {seed}");
+                let mut copy = WakeTree::new(1);
+                copy.clone_from(&tree);
+                assert_eq!(copy.nodes, tree.nodes);
             }
         }
-        assert_eq!(w.len(), 20);
-        assert_eq!(w.stale(), 16, "every push but each CU's last must count stale");
-        let (mut live_pops, mut stale_pops) = (0, 0);
-        while let Some((_, _, was_live)) = w.pop() {
-            if was_live {
-                live_pops += 1;
-            } else {
-                stale_pops += 1;
-            }
-        }
-        assert_eq!((live_pops, stale_pops), (n, 16));
-        assert_eq!(w.stale(), 0);
-        assert!(w.is_empty());
     }
 }

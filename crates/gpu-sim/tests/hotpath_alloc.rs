@@ -2,7 +2,7 @@
 //!
 //! This binary installs a counting `#[global_allocator]` that forwards
 //! every heap allocation to `gpu_sim::alloc_probe`. After a warmup phase
-//! (where allocation is legitimate: wheel buckets, scheduler scratch and
+//! (where allocation is legitimate: scheduler scratch and
 //! telemetry vectors all size themselves), steady-state epochs must
 //! perform **zero** allocations — the whole hot path runs out of reused
 //! buffers. A single accidental per-event or per-epoch allocation fails
@@ -52,7 +52,7 @@ const STEADY_EPOCHS: usize = 20;
 #[test]
 fn steady_state_epochs_do_not_allocate() {
     // lulesh on the 16-CU platform drives every hot structure: dense
-    // wavefront occupancy, wheel traffic, L1/L2/DRAM accesses, dispatch.
+    // wavefront occupancy, event-queue traffic, L1/L2/DRAM accesses, dispatch.
     let app = workloads::by_name("lulesh", workloads::Scale::Quick).expect("registered");
     let mut gpu = Gpu::new(GpuConfig::small(), app);
     let mut stats = EpochStats::empty();

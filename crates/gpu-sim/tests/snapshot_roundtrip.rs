@@ -9,7 +9,7 @@
 
 use gpu_sim::kernel::{AddressPattern, App, KernelBuilder};
 use gpu_sim::prelude::*;
-use snapshot::{ContainerReader, SnapError, FORMAT_VERSION};
+use snapshot::{ContainerReader, SnapError, Snapshot, FORMAT_VERSION};
 
 fn compute_app(wgs: u32) -> App {
     let mut b = KernelBuilder::new("k", wgs, 4, 1);
@@ -184,4 +184,79 @@ fn cross_config_tamper_rejected() {
     }
     let err = Gpu::load_snapshot(&w.finish()).unwrap_err();
     assert!(matches!(err, SnapError::Invalid(_) | SnapError::Truncated), "got {err}");
+}
+
+/// Re-encodes `bytes` with the "sched" section's event list passed through
+/// `edit`; every other byte is copied as is, so the result is CRC-valid.
+fn with_events(bytes: &[u8], mut edit: impl FnMut(&mut Vec<(Femtos, usize)>)) -> Vec<u8> {
+    let reader = ContainerReader::parse(bytes).unwrap();
+    let mut w = snapshot::ContainerWriter::new();
+    for name in reader.section_names() {
+        let mut d = reader.section(name).unwrap();
+        if name != "sched" {
+            let payload = d.take_raw(d.remaining()).unwrap().to_vec();
+            w.section(name, |enc| enc.put_raw(&payload));
+            continue;
+        }
+        let (kernel_idx, next_wg, wgs_remaining) =
+            (d.take_usize().unwrap(), d.take_u32().unwrap(), d.take_u32().unwrap());
+        let (next_uid, next_age, cursor) =
+            (d.take_u64().unwrap(), d.take_u64().unwrap(), d.take_usize().unwrap());
+        let now = Femtos::decode(&mut d).unwrap();
+        let completion = Option::<Femtos>::decode(&mut d).unwrap();
+        let mut events = Vec::<(Femtos, usize)>::decode(&mut d).unwrap();
+        d.finish().unwrap();
+        edit(&mut events);
+        w.section(name, |enc| {
+            enc.put_usize(kernel_idx);
+            enc.put_u32(next_wg);
+            enc.put_u32(wgs_remaining);
+            enc.put_u64(next_uid);
+            enc.put_u64(next_age);
+            enc.put_usize(cursor);
+            now.encode(enc);
+            completion.encode(enc);
+            events.encode(enc);
+        });
+    }
+    w.finish()
+}
+
+#[test]
+fn event_list_missing_a_scheduled_cu_rejected() {
+    let mut gpu = Gpu::new(GpuConfig::tiny(), memory_app(16));
+    gpu.run_epoch(Femtos::from_micros(2));
+    let bytes = gpu.save_snapshot();
+    // The re-encoder itself is faithful: an unedited list is the same bytes.
+    assert_eq!(with_events(&bytes, |_| {}), bytes);
+    let dropped = with_events(&bytes, |events| {
+        assert!(events.len() > 1, "every tiny-GPU CU is busy after 2 µs");
+        events.remove(1);
+    });
+    match Gpu::load_snapshot(&dropped).unwrap_err() {
+        SnapError::Invalid(msg) => assert!(msg.contains("no entry"), "got {msg}"),
+        other => panic!("expected Invalid, got {other}"),
+    }
+}
+
+#[test]
+fn legacy_stale_event_duplicates_accepted() {
+    let mut gpu = Gpu::new(GpuConfig::tiny(), memory_app(16));
+    gpu.run_epoch(Femtos::from_micros(2));
+    let bytes = gpu.save_snapshot();
+    // Older writers could leave superseded entries behind: an earlier time
+    // for a scheduled CU and an exact duplicate. Both are ignored on load.
+    let stale = with_events(&bytes, |events| {
+        let (t, cu) = events[0];
+        events.insert(0, (Femtos(t.0 - 1), cu));
+        events.push((t, cu));
+    });
+    let mut restored = Gpu::load_snapshot(&stale).expect("stale duplicates load");
+    assert_eq!(restored.event_queue_len(), gpu.event_queue_len());
+    for epoch in 0..4 {
+        let a = gpu.run_epoch(Femtos::from_micros(1));
+        let b = restored.run_epoch(Femtos::from_micros(1));
+        assert_eq!(a, b, "restored GPU diverged at epoch {epoch}");
+    }
+    assert_eq!(gpu.save_snapshot(), restored.save_snapshot());
 }

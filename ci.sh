@@ -65,29 +65,19 @@ PCSTALL_THREADS=8 cargo test -q -p harness --test supervision
 echo "==> supervision smoke bench (hang-rate ladder)"
 PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench supervision
 
-# Sharded-lane determinism at the lane-count extremes: the per-CU lane
-# scheduler must be bit-identical to the serial event loop — stats,
-# snapshots and completion — whether the env default is serial or 4 lanes.
-echo "==> lane determinism @ PCSTALL_SIM_LANES=1"
-PCSTALL_SIM_LANES=1 cargo test -q -p gpu-sim --test lane_determinism
-
-echo "==> lane determinism @ PCSTALL_SIM_LANES=4"
-PCSTALL_SIM_LANES=4 cargo test -q -p gpu-sim --test lane_determinism
-
 # Bit-exactness oracle for the simulator: epoch stats, snapshot bytes and
-# run-to-completion over the Table II suite at 1 and 4 lanes, plus retimed
-# runs on 64 and 12 CUs, must match the committed digests line for line.
+# run-to-completion over the Table II suite, plus retimed runs on 64 and
+# 12 CUs, must match the committed digests line for line.
 echo "==> gpu-sim suite digest (diff against suite_digest.expected)"
 cargo run -q --release -p gpu-sim --example suite_digest \
   | diff crates/gpu-sim/examples/suite_digest.expected -
 
-# The parsim smoke re-measures only the serial-lane baseline probe and
-# fails if it regressed >10% vs the committed BENCH_parsim.json: the lane
-# seam must stay free when unused.
-echo "==> parsim smoke bench (serial-lane regression gate)"
+# The parsim smoke re-measures the lulesh baseline probe and fails if it
+# regressed >10% vs the committed BENCH_parsim.json.
+echo "==> parsim smoke bench (lulesh baseline-probe regression gate)"
 PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench parsim
 
-# The hotpath smoke re-measures the compute-bound probe set serially and
+# The hotpath smoke re-measures the compute-bound probe set and
 # fails if any median regressed >10% (PCSTALL_HOTPATH_TOL) vs the
 # committed BENCH_hotpath.json: the epochs/sec trajectory only moves up.
 echo "==> hotpath smoke bench (epochs/sec regression gate)"
@@ -122,10 +112,10 @@ PCSTALL_THREADS=1 cargo test -q -p scenarios --test fuzz_determinism --test fuzz
 echo "==> scenario fuzzer determinism & properties @ PCSTALL_THREADS=8"
 PCSTALL_THREADS=8 cargo test -q -p scenarios --test fuzz_determinism --test fuzz_properties
 
-echo "==> fuzz smoke via the CLI (25 scenarios x 4 oracles) @ PCSTALL_THREADS=1"
+echo "==> fuzz smoke via the CLI (25 scenarios x 3 oracles) @ PCSTALL_THREADS=1"
 PCSTALL_THREADS=1 cargo run -q --release --bin repro -- fuzz --count 25 --seed 42
 
-echo "==> fuzz smoke via the CLI (25 scenarios x 4 oracles) @ PCSTALL_THREADS=8"
+echo "==> fuzz smoke via the CLI (25 scenarios x 3 oracles) @ PCSTALL_THREADS=8"
 PCSTALL_THREADS=8 cargo run -q --release --bin repro -- fuzz --count 25 --seed 42
 
 # Trace round trip over the whole suite: record -> load -> run must be

@@ -1,32 +1,27 @@
 //! End-to-end hot-path throughput bench: whole-epoch simulation speed
-//! (epochs/sec) over the full Table II suite, serial and laned, with
-//! min/median/max over repetitions. Results go to
-//! `results/BENCH_hotpath.json` and are the locked-in trajectory for the
-//! hot-path speed campaign: every future PR runs the smoke gate against
-//! the committed numbers.
+//! (epochs/sec) over the full Table II suite, with min/median/max over
+//! repetitions. Results go to `results/BENCH_hotpath.json` and are the
+//! locked-in trajectory for the hot-path speed campaign: every later
+//! change runs the smoke gate against the committed numbers.
 //!
 //! Modes:
-//! - Full (default): measures all 16 workloads at 1 lane (the serial
-//!   event loop) and 4 lanes, `ROUNDS` repetitions each, and rewrites the
-//!   committed JSON. If `PCSTALL_HOTPATH_PREPR` names a previous full
-//!   output, its serial medians are embedded as the `pre_pr` baseline and
-//!   each row gains a `vs_pre_pr` speedup.
+//! - Full (default): measures all 16 workloads, `ROUNDS` repetitions
+//!   each, and rewrites the committed JSON with one `serial` row per
+//!   workload. If `PCSTALL_HOTPATH_PREPR` names a previous full output,
+//!   its serial medians are embedded as the `pre_pr` baseline and each
+//!   row gains a `vs_pre_pr` speedup.
 //! - Smoke (`PCSTALL_BENCH_SMOKE=1`, the CI path): re-measures only the
-//!   compute-bound probe set serially and fails loudly if any median
-//!   regressed more than `PCSTALL_HOTPATH_TOL` (default 0.10 = 10%) below
-//!   the committed JSON, without overwriting it.
+//!   compute-bound probe set and fails loudly if any median regressed
+//!   more than `PCSTALL_HOTPATH_TOL` (default 0.10 = 10%) below the
+//!   committed JSON, without overwriting it.
 //!
-//! Honest numbers: this container has 1 core, so laned rows measure the
-//! single-threaded cost of the lane scheduler (same caveat as
-//! BENCH_parsim), and speedups are from serial-loop work reduction, not
-//! parallelism.
+//! The committed JSON's `lanes4` rows measured a since-deleted lane
+//! scheduler; the smoke gate reads only `serial` rows.
 
-use exec::WorkerPool;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::gpu::Gpu;
 use gpu_sim::time::Femtos;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 const EPOCHS_PER_ROUND: usize = 20;
@@ -36,7 +31,6 @@ const SMOKE_ROUNDS: usize = 3;
 /// regression: the shared container's throughput swings ±30% over
 /// minutes, and a floor check only needs one honest window.
 const SMOKE_WINDOWS: usize = 5;
-const LANED: usize = 4;
 /// The workloads the ≥1.3× tentpole target and the CI gate apply to:
 /// stepping-dominated apps where the scheduler and event queue are the
 /// cost, not the memory-system servers.
@@ -50,11 +44,9 @@ fn warmed_gpu(workload: &str) -> Gpu {
 }
 
 /// One repetition: epochs/sec for `EPOCHS_PER_ROUND` 1 µs epochs starting
-/// from a clone of `warm` at `lanes` lanes.
-fn one_round(warm: &Gpu, lanes: usize, pool: &Arc<WorkerPool>) -> f64 {
+/// from a clone of `warm`.
+fn one_round(warm: &Gpu) -> f64 {
     let mut gpu = warm.clone();
-    gpu.set_sim_lanes(lanes);
-    gpu.set_lane_pool(Arc::clone(pool));
     let start = Instant::now();
     for _ in 0..EPOCHS_PER_ROUND {
         black_box(gpu.run_epoch(Femtos::from_micros(1)));
@@ -83,7 +75,6 @@ fn main() {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0.10);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let pool = Arc::new(WorkerPool::new(LANED));
     let path = bench::results_dir().join("BENCH_hotpath.json");
 
     if smoke {
@@ -116,7 +107,7 @@ fn main() {
                     // windows out (1+2+4+8 s total worst case).
                     std::thread::sleep(std::time::Duration::from_secs(1 << (attempt - 1)));
                 }
-                let got = bench::repeat_measure(SMOKE_ROUNDS, || one_round(&warm, 1, &pool));
+                let got = bench::repeat_measure(SMOKE_ROUNDS, || one_round(&warm));
                 best = best.max(got.median);
                 if best >= floor {
                     break;
@@ -151,41 +142,30 @@ fn main() {
     let mut gate_speedups: Vec<(String, f64)> = Vec::new();
     for w in workloads::registry::all() {
         let warm = warmed_gpu(w.name);
-        let mut serial_median = 0.0;
-        for (mode, lanes) in [("serial", 1), ("lanes4", LANED)] {
-            let s = bench::repeat_measure(ROUNDS, || one_round(&warm, lanes, &pool));
-            if mode == "serial" {
-                serial_median = s.median;
+        let s = bench::repeat_measure(ROUNDS, || one_round(&warm));
+        let vs_pre = pre_pr
+            .as_deref()
+            .and_then(|j| committed_median(j, w.name, "serial"))
+            .map(|base| s.median / base);
+        println!(
+            "hotpath[{:<8}]: median {:.1} epochs/sec (min {:.1}, max {:.1}){}",
+            w.name,
+            s.median,
+            s.min,
+            s.max,
+            vs_pre.map(|v| format!(" — {v:.2}x vs pre-PR")).unwrap_or_default()
+        );
+        if let Some(v) = vs_pre {
+            if COMPUTE_BOUND.contains(&w.name) {
+                gate_speedups.push((w.name.to_string(), v));
             }
-            let vs_serial = s.median / serial_median;
-            let vs_pre = pre_pr
-                .as_deref()
-                .and_then(|j| committed_median(j, w.name, mode))
-                .map(|base| s.median / base);
-            println!(
-                "hotpath[{:<8} {mode:>6}]: median {:.1} epochs/sec (min {:.1}, max {:.1}){}",
-                w.name,
-                s.median,
-                s.min,
-                s.max,
-                vs_pre.map(|v| format!(" — {v:.2}x vs pre-PR")).unwrap_or_default()
-            );
-            if mode == "serial" {
-                if let Some(v) = vs_pre {
-                    if COMPUTE_BOUND.contains(&w.name) {
-                        gate_speedups.push((w.name.to_string(), v));
-                    }
-                }
-            }
-            let vs_pre_field =
-                vs_pre.map(|v| format!(", \"vs_pre_pr\": {v:.3}")).unwrap_or_default();
-            rows.push(format!(
-                "    {{\"workload\": \"{}\", \"mode\": \"{mode}\", {}, \
-                 \"vs_serial\": {vs_serial:.3}{vs_pre_field}}}",
-                w.name,
-                s.json_fields("eps")
-            ));
         }
+        let vs_pre_field = vs_pre.map(|v| format!(", \"vs_pre_pr\": {v:.3}")).unwrap_or_default();
+        rows.push(format!(
+            "    {{\"workload\": \"{}\", \"mode\": \"serial\", {}{vs_pre_field}}}",
+            w.name,
+            s.json_fields("eps")
+        ));
     }
     if !gate_speedups.is_empty() {
         let worst = gate_speedups.iter().cloned().fold(f64::INFINITY, |a, (_, v)| a.min(v));

@@ -1,33 +1,21 @@
-//! Lane-scaling benchmark for the sharded per-CU simulator
-//! (`PCSTALL_SIM_LANES`, see `gpu_sim::lanes`).
+//! Simulator throughput probe: whole-epoch simulation speed (1 µs epochs
+//! on the 16-CU small platform) of the Quick-scale lulesh workload, the
+//! *baseline probe*. Full mode writes it to `results/BENCH_parsim.json`.
 //!
-//! Times whole-epoch simulation (1 µs epochs on the 16-CU small platform,
-//! Quick-scale workloads) at 1, 2, 4 and 8 lanes on an 8-thread worker
-//! pool and reports epochs/sec per lane count plus the speedup over the
-//! serial event loop. Results go to `results/BENCH_parsim.json`.
+//! Smoke mode (`PCSTALL_BENCH_SMOKE=1`, the CI path) re-measures the probe
+//! and fails loudly if its throughput regressed more than
+//! `PCSTALL_PARSIM_TOL` (default 0.10 = 10%) below the committed JSON,
+//! without overwriting the committed file.
 //!
-//! Honest numbers only: speedup is *reported*, not asserted — a 1-core
-//! container legitimately measures ~1× at every lane count (the pool
-//! inlines), and results are bit-identical regardless, so the lanes knob
-//! can never change what a run computes, only how fast.
-//!
-//! Smoke mode (`PCSTALL_BENCH_SMOKE=1`, the CI path) re-measures only the
-//! fixed *baseline probe* — lulesh at 1 lane, the serial loop — and fails
-//! loudly if its throughput regressed more than `PCSTALL_PARSIM_TOL`
-//! (default 0.10 = 10%) below the committed JSON, without overwriting the
-//! committed file. This pins the cost of the lane seam itself: the serial
-//! path must not pay for sharding it isn't using.
+//! The committed JSON's `rows` measured a since-deleted lane scheduler;
+//! the smoke gate reads only `baseline_probe`.
 
-use exec::WorkerPool;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::gpu::Gpu;
 use gpu_sim::time::Femtos;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
-const LANE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const WORKLOADS: [&str; 2] = ["lulesh", "comd"];
 const BASELINE_WORKLOAD: &str = "lulesh";
 const EPOCHS_PER_ROUND: usize = 20;
 const ROUNDS: usize = 3;
@@ -43,16 +31,14 @@ fn warmed_gpu(workload: &str) -> Gpu {
     gpu
 }
 
-/// Epochs/sec for `lanes` lanes starting from `warm`, summarized over
-/// `ROUNDS` rounds of `EPOCHS_PER_ROUND` epochs each. The median is the
+/// Epochs/sec starting from `warm`, summarized over `ROUNDS` rounds of
+/// `EPOCHS_PER_ROUND` epochs each. The median is the
 /// headline (and what the smoke gate compares): robust against a slow
 /// outlier round, unlike a single shot, while min/max and the raw runs go
 /// into the JSON so a suspicious number can be audited.
-fn epochs_per_sec(warm: &Gpu, lanes: usize, pool: &Arc<WorkerPool>) -> bench::RepStats {
+fn epochs_per_sec(warm: &Gpu) -> bench::RepStats {
     bench::repeat_measure(ROUNDS, || {
         let mut gpu = warm.clone();
-        gpu.set_sim_lanes(lanes);
-        gpu.set_lane_pool(Arc::clone(pool));
         let start = Instant::now();
         for _ in 0..EPOCHS_PER_ROUND {
             black_box(gpu.run_epoch(Femtos::from_micros(1)));
@@ -80,13 +66,12 @@ fn main() {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0.10);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let pool = Arc::new(WorkerPool::new(*LANE_COUNTS.iter().max().unwrap()));
     let path = bench::results_dir().join("BENCH_parsim.json");
 
     let probe_gpu = warmed_gpu(BASELINE_WORKLOAD);
-    let probe = epochs_per_sec(&probe_gpu, 1, &pool);
+    let probe = epochs_per_sec(&probe_gpu);
     let probe_rate = probe.median;
-    println!("baseline_probe[{BASELINE_WORKLOAD}, 1 lane]: {probe_rate:.1} epochs/sec (median)");
+    println!("baseline_probe[{BASELINE_WORKLOAD}]: {probe_rate:.1} epochs/sec (median)");
 
     if smoke {
         // Regression gate only; the committed JSON stays untouched.
@@ -116,9 +101,9 @@ fn main() {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_secs(1 << (attempt - 1)));
-            let again = epochs_per_sec(&probe_gpu, 1, &pool);
+            let again = epochs_per_sec(&probe_gpu);
             println!(
-                "baseline_probe[{BASELINE_WORKLOAD}, 1 lane] retry {attempt}: {:.1} \
+                "baseline_probe[{BASELINE_WORKLOAD}] retry {attempt}: {:.1} \
                  epochs/sec (median)",
                 again.median
             );
@@ -126,7 +111,7 @@ fn main() {
         }
         if best < floor {
             eprintln!(
-                "[parsim] FAIL: serial-lane throughput regressed: best median {best:.1} \
+                "[parsim] FAIL: simulator throughput regressed: best median {best:.1} \
                  epochs/sec over {SMOKE_WINDOWS} windows < {floor:.1} (committed \
                  {committed:.1} - {:.0}% tolerance)",
                 tol * 100.0
@@ -141,41 +126,13 @@ fn main() {
         return;
     }
 
-    let mut rows = Vec::new();
-    for workload in WORKLOADS {
-        let warm = warmed_gpu(workload);
-        let mut base_rate = 0.0;
-        for lanes in LANE_COUNTS {
-            let stats = epochs_per_sec(&warm, lanes, &pool);
-            let rate = stats.median;
-            if lanes == 1 {
-                base_rate = rate;
-            }
-            let speedup = rate / base_rate;
-            println!(
-                "parsim[{workload}, {lanes} lane{}]: {rate:.1} epochs/sec ({speedup:.2}x vs serial)",
-                if lanes == 1 { "" } else { "s" }
-            );
-            rows.push(format!(
-                "    {{\"workload\": \"{workload}\", \"lanes\": {lanes}, \
-                 \"epochs_per_sec\": {rate:.3}, \"speedup\": {speedup:.3}, {}}}",
-                stats.json_fields("epochs_per_sec")
-            ));
-        }
-    }
-    println!(
-        "(machine has {cores} core{}; speedup beyond min(lanes, cores) is not expected)",
-        if cores == 1 { "" } else { "s" }
-    );
-
     let json = format!(
-        "{{\n  \"bench\": \"parsim_lane_scaling\",\n  \"platform\": \
+        "{{\n  \"bench\": \"parsim_baseline_probe\",\n  \"platform\": \
          \"small-16cu/quick/1us-epochs\",\n  \"cores\": {cores},\n  \
          \"epochs_per_round\": {EPOCHS_PER_ROUND},\n  \"rounds\": {ROUNDS},\n  \
-         \"baseline_probe\": {{\"workload\": \"{BASELINE_WORKLOAD}\", \"lanes\": 1, \
-         \"epochs_per_sec\": {probe_rate:.3}, {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        probe.json_fields("epochs_per_sec"),
-        rows.join(",\n")
+         \"baseline_probe\": {{\"workload\": \"{BASELINE_WORKLOAD}\", \
+         \"epochs_per_sec\": {probe_rate:.3}, {}}}\n}}\n",
+        probe.json_fields("epochs_per_sec")
     );
     harness::report::write_atomic(&path, &json).expect("write BENCH_parsim.json");
     println!("wrote {}", path.display());

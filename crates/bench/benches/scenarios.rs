@@ -11,8 +11,7 @@
 //!   is a pure function of (seed, index), so this is the cost of
 //!   conjuring a fresh validated workload from two integers.
 //! * **Property oracle** — `properties::check_all` (monotonicity,
-//!   conservation, snapshot round trip, lane determinism) in
-//!   scenarios/s on the tiny platform — the price of one fuzz verdict.
+//!   conservation, snapshot round trip) in scenarios/s on the tiny platform — the price of one fuzz verdict.
 //!
 //! Set `PCSTALL_BENCH_SMOKE=1` for single-iteration rounds — the CI
 //! smoke path, which exercises every loop (including the round-trip and
@@ -86,7 +85,7 @@ fn main() {
     });
     let oracle_per_s = oracle_count as f64 / (oracle_stats.median / 1e3);
     println!(
-        "property oracle: {oracle_count} scenarios x 4 properties/round — {oracle_per_s:.1} \
+        "property oracle: {oracle_count} scenarios x 3 properties/round — {oracle_per_s:.1} \
          scenarios/s"
     );
 

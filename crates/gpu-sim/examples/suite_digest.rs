@@ -1,10 +1,10 @@
 //! Prints a per-workload digest of observable simulator behavior over the
 //! full Table II suite: epoch stats and snapshot bytes after six 1 µs
-//! epochs at 1 and 4 lanes, plus the run-to-completion outcome. A second
-//! block repeats the digest for a few workloads on the 64-CU paper
-//! platform and on a 12-CU GPU (a CU count that is not a power of two),
-//! with every CU retimed at each epoch boundary so frequency-transition
-//! stalls reschedule CUs mid-run.
+//! epochs, plus the run-to-completion outcome. A second block repeats the
+//! digest for a few workloads on the 64-CU paper platform and on a 12-CU
+//! GPU (a CU count that is not a power of two), with every CU retimed at
+//! each epoch boundary so frequency-transition stalls reschedule CUs
+//! mid-run.
 //!
 //! The digest is the bit-exactness oracle for hot-path work. `ci.sh` diffs
 //! its output against `suite_digest.expected`:
@@ -54,9 +54,8 @@ fn retime(gpu: &mut Gpu, epoch: usize) {
     }
 }
 
-fn digest_epochs(cfg: GpuConfig, app: &App, lanes: usize, retimed: bool) -> u64 {
+fn digest_epochs(cfg: GpuConfig, app: &App, retimed: bool) -> u64 {
     let mut gpu = Gpu::new(cfg, app.clone());
-    gpu.set_sim_lanes(lanes);
     let mut h = Fnv::new();
     for epoch in 0..6 {
         if retimed {
@@ -71,7 +70,6 @@ fn digest_epochs(cfg: GpuConfig, app: &App, lanes: usize, retimed: bool) -> u64 
 
 fn digest_completion(cfg: GpuConfig, app: &App) -> u64 {
     let mut gpu = Gpu::new(cfg, app.clone());
-    gpu.set_sim_lanes(1);
     let outcome = gpu.run_to_outcome(Femtos::from_micros(100_000));
     let mut h = Fnv::new();
     h.write(format!("{outcome:?}").as_bytes());
@@ -84,10 +82,9 @@ fn main() {
     for w in all() {
         let app = (w.build)(Scale::Quick);
         println!(
-            "{:<8} lanes1={:016x} lanes4={:016x} complete={:016x}",
+            "{:<8} epochs={:016x} complete={:016x}",
             w.name,
-            digest_epochs(small, &app, 1, false),
-            digest_epochs(small, &app, 4, false),
+            digest_epochs(small, &app, false),
             digest_completion(small, &app),
         );
     }
@@ -96,9 +93,8 @@ fn main() {
         for name in EXTRA_WORKLOADS {
             let app = by_name(name, Scale::Quick).expect("registry workload");
             println!(
-                "{name:<8} {label} retimed lanes1={:016x} lanes4={:016x} complete={:016x}",
-                digest_epochs(cfg, &app, 1, true),
-                digest_epochs(cfg, &app, 4, true),
+                "{name:<8} {label} retimed epochs={:016x} complete={:016x}",
+                digest_epochs(cfg, &app, true),
                 digest_completion(cfg, &app),
             );
         }

@@ -9,7 +9,7 @@ use crate::cache::Cache;
 use crate::config::GpuConfig;
 use crate::isa::{pc_of_index, Op, Pc};
 use crate::kernel::Kernel;
-use crate::mem::{LocalOnly, MemoryPort};
+use crate::mem::MemSystem;
 use crate::stats::{CuEpochStats, OpMix, WfEpochStats};
 use crate::time::{Femtos, Frequency};
 use crate::wavefront::Wavefront;
@@ -35,7 +35,7 @@ const WF_FINISHED: u8 = 1 << 2;
 #[derive(Debug, Default)]
 pub struct CollectScratch {
     rank: Vec<u32>,
-    /// Ready-list scratch for [`Cu::step_with`] in the serial event loop.
+    /// Ready-list scratch for [`Cu::step_with`] in the event loop.
     pub(crate) ready: Vec<u32>,
 }
 
@@ -79,35 +79,6 @@ pub struct StepOutcome {
     /// Workgroups that completed in this step (multi-issue can retire the
     /// final wavefronts of several workgroups in one cycle).
     pub workgroups_done: u32,
-}
-
-/// What a CU's next scheduling step would touch, from the lane
-/// scheduler's point of view (see [`Cu::classify_step`]). Ordered by how
-/// much coordination the step needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum StepClass {
-    /// Touches only this CU's own state (including L1 probe-hits).
-    Local,
-    /// Reaches the shared L2/DRAM system but cannot retire a workgroup.
-    /// Executable inline during the merge phase below the frontier
-    /// horizon (see [`Cu::advance_merge`]).
-    Mem,
-    /// Contains an `EndKernel`, which may retire a workgroup and trigger
-    /// the GPU-level dispatcher. Always yields to the coordinator.
-    Dispatch,
-}
-
-/// Why [`Cu::advance_local`] stopped advancing a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneStop {
-    /// The next step (at this time) would touch shared state — the lane
-    /// yields to the merge phase, which replays the step against the real
-    /// memory system in global `(time, cu)` order.
-    Yield(Femtos),
-    /// The lane's next cycle is at or beyond the sub-window end.
-    Parked,
-    /// The CU went fully idle (`next_cycle == IDLE`).
-    Idle,
 }
 
 /// Non-issue interval classification for estimator telemetry.
@@ -587,6 +558,11 @@ impl Cu {
         self.sched_order.len() as u32
     }
 
+    /// Number of dispatched workgroups that have not yet retired.
+    pub fn live_workgroups(&self) -> u32 {
+        self.wgs.iter().filter(|g| g.active).count() as u32
+    }
+
     /// Read-only view of the wavefront slots' cold state (used by
     /// predictors that read identity fields at epoch boundaries). The hot
     /// scheduling fields live in SoA arrays; see [`Cu::wf_pc`] and
@@ -620,7 +596,7 @@ impl Cu {
         now: Femtos,
     ) -> bool {
         let wg_size = kernel.wg_wavefronts as usize;
-        if self.free_slots() < wg_size {
+        if self.slots.len() - (self.n_active as usize) < wg_size {
             return false;
         }
         let wg_local = self
@@ -668,10 +644,10 @@ impl Cu {
     /// Executes one scheduling step at time `now` (which must equal
     /// `next_cycle`), advancing `next_cycle`. Allocates a fresh ready
     /// list; hot loops use [`Cu::step_with`] with reusable scratch.
-    pub fn step<M: MemoryPort>(
+    pub fn step(
         &mut self,
         now: Femtos,
-        mem: &mut M,
+        mem: &mut MemSystem,
         app_kernels: &[Kernel],
     ) -> StepOutcome {
         let mut ready = Vec::new();
@@ -680,10 +656,10 @@ impl Cu {
 
     /// [`Cu::step`] with caller-owned ready-list scratch, so steady-state
     /// stepping never touches the allocator.
-    pub(crate) fn step_with<M: MemoryPort>(
+    pub(crate) fn step_with(
         &mut self,
         now: Femtos,
-        mem: &mut M,
+        mem: &mut MemSystem,
         app_kernels: &[Kernel],
         ready: &mut Vec<u32>,
     ) -> StepOutcome {
@@ -696,9 +672,7 @@ impl Cu {
     /// wait among the others not blocked at a barrier ([`IDLE`] if none):
     /// the wake-up [`Cu::step_selected`] skips to when nothing is ready.
     /// `sched_order` is already age-sorted, so this is one pass over two
-    /// dense arrays with no sort. Split out of [`Cu::step`] so the lane
-    /// scheduler can classify a step (local vs. global) and then execute
-    /// it without re-collecting.
+    /// dense arrays with no sort.
     fn collect_ready(&self, now: Femtos, ready: &mut Vec<u32>) -> Femtos {
         ready.clear();
         let mut wake = IDLE;
@@ -716,169 +690,12 @@ impl Cu {
         wake
     }
 
-    /// Classifies the step that would execute at `now` with arbitration
-    /// input `ready`, from the lane scheduler's point of view.
-    ///
-    /// Ops are examined in the order [`Cu::step_selected`] issues them
-    /// (oldest first, up to `issue_width`). An `EndKernel` may retire a
-    /// workgroup and trigger GPU-level dispatch ([`StepClass::Dispatch`]);
-    /// a `Store` always reaches shared memory, and a `Load` does exactly
-    /// when it misses L1 ([`StepClass::Mem`]). The probe sequence mirrors
-    /// execution: issued loads that *hit* only rotate L1 LRU recency —
-    /// they never change residency ([`Cache::probe`] vs.
-    /// [`Cache::access`]) — so while every earlier op was a local hit,
-    /// probing against the pre-step tags gives the same hit/miss answers
-    /// execution would. Once the class is `Mem` further probes are skipped
-    /// (their answers could no longer affect it) and the scan continues
-    /// only to detect `EndKernel`, which is an opcode property independent
-    /// of cache state. The first global op taints the whole step (earlier
-    /// local ops in the same cycle still execute with it at merge time,
-    /// exactly as the serial loop would have).
-    pub(crate) fn classify_step(&self, app_kernels: &[Kernel], ready: &[u32]) -> StepClass {
-        let mut class = StepClass::Local;
-        for &j in ready.iter().take(self.issue_width) {
-            let j = j as usize;
-            let wf = &self.slots[j];
-            let kernel = &app_kernels[wf.kernel_idx as usize];
-            match kernel.code[self.wf_pc[j] as usize] {
-                Op::EndKernel => return StepClass::Dispatch,
-                Op::Store { .. } => class = StepClass::Mem,
-                Op::Load { pattern } if class == StepClass::Local => {
-                    let addr = kernel.patterns[pattern as usize].address(
-                        wf.uid,
-                        wf.mem_counter,
-                        kernel.seed,
-                    );
-                    if !self.l1.probe(addr) {
-                        class = StepClass::Mem;
-                    }
-                }
-                _ => {}
-            }
-        }
-        class
-    }
-
-    /// Number of wavefront slots not currently occupied. Only a global
-    /// (merged) `EndKernel` step can grow this, which is what makes the
-    /// dispatch-vulnerability test in [`Cu::advance_local`] stable across
-    /// a whole run of lane-local steps.
-    pub(crate) fn free_slots(&self) -> usize {
-        self.slots.len() - self.n_active as usize
-    }
-
-    /// Runs this lane forward through purely CU-local steps until it must
-    /// synchronize: the next step needs shared state ([`LaneStop::Yield`]),
-    /// the sub-window ends ([`LaneStop::Parked`]), or the CU drains
-    /// ([`LaneStop::Idle`]). Only touches this CU's own state, so distinct
-    /// lanes may run concurrently; `ready` is caller-owned scratch.
-    ///
-    /// `dispatch_slots` is the dispatch-vulnerability threshold: while
-    /// workgroups of the current kernel remain undispatched, a CU with at
-    /// least a workgroup's worth of free slots can receive a dispatch at
-    /// *any* other lane's retirement time — a time this lane cannot see.
-    /// Running ahead of the merge frontier would then be wrong (the serial
-    /// loop re-anchors the CU to the dispatch time and lets the new
-    /// wavefronts join arbitration immediately), so a vulnerable lane
-    /// yields every step to the coordinator instead, which interleaves it
-    /// at exactly the serial `(time, cu)` order. Free slots only grow at
-    /// this CU's own merged `EndKernel` steps, so vulnerability cannot
-    /// change mid-advance. Callers with no dispatch pending pass
-    /// `usize::MAX` (immune).
-    pub(crate) fn advance_local(
-        &mut self,
-        window_end: Femtos,
-        app_kernels: &[Kernel],
-        dispatch_slots: usize,
-        ready: &mut Vec<u32>,
-    ) -> LaneStop {
-        let vulnerable = self.free_slots() >= dispatch_slots;
-        loop {
-            let t = self.next_cycle;
-            if t == IDLE {
-                return LaneStop::Idle;
-            }
-            if t >= window_end {
-                return LaneStop::Parked;
-            }
-            if vulnerable {
-                return LaneStop::Yield(t);
-            }
-            let wake = self.collect_ready(t, ready);
-            if self.classify_step(app_kernels, ready) != StepClass::Local {
-                return LaneStop::Yield(t);
-            }
-            let out = self.step_selected(t, &mut LocalOnly, app_kernels, ready, wake);
-            debug_assert_eq!(out.workgroups_done, 0, "local step retired a workgroup");
-        }
-    }
-
-    /// [`Cu::advance_local`] for the merge phase, where the coordinator
-    /// owns the real memory system and the merge frontier gives this lane
-    /// an exclusivity *horizon*: every other lane's next shared-state step
-    /// is at or after `horizon` (it is the minimum over the pending-yield
-    /// heap and the sub-window end). Two relaxations follow, both exactly
-    /// order-preserving:
-    ///
-    /// - Strictly below `horizon`, [`StepClass::Mem`] steps execute inline
-    ///   against the real `mem`: each such step is the globally minimal
-    ///   remaining `(time, cu)` shared step, so this is precisely the
-    ///   serial loop's order. A lane's `next_cycle` is strictly
-    ///   increasing, so its own inline steps also replay in serial order.
-    /// - Strictly below `horizon`, dispatch vulnerability is ignored:
-    ///   dispatches originate only from merged `EndKernel` retirements,
-    ///   which all occur at or after `horizon`, so none can land in the
-    ///   interval this lane is running through.
-    ///
-    /// [`StepClass::Dispatch`] steps always yield — the coordinator must
-    /// observe workgroup retirement to run the dispatcher. At or beyond
-    /// `horizon` the Phase-A rules of [`Cu::advance_local`] apply
-    /// unchanged.
-    pub(crate) fn advance_merge<M: MemoryPort>(
-        &mut self,
-        horizon: Femtos,
-        window_end: Femtos,
-        mem: &mut M,
-        app_kernels: &[Kernel],
-        dispatch_slots: usize,
-        ready: &mut Vec<u32>,
-    ) -> LaneStop {
-        loop {
-            let t = self.next_cycle;
-            if t == IDLE {
-                return LaneStop::Idle;
-            }
-            if t >= window_end {
-                return LaneStop::Parked;
-            }
-            let wake = self.collect_ready(t, ready);
-            let class = self.classify_step(app_kernels, ready);
-            if t >= horizon {
-                // Other lanes' shared steps may interleave from here on:
-                // fall back to the Phase-A rules (free slots only grow at
-                // this CU's own merged EndKernel steps, so vulnerability
-                // is stable across the local steps taken above).
-                if self.free_slots() >= dispatch_slots || class != StepClass::Local {
-                    return LaneStop::Yield(t);
-                }
-                let out = self.step_selected(t, &mut LocalOnly, app_kernels, ready, wake);
-                debug_assert_eq!(out.workgroups_done, 0, "local step retired a workgroup");
-            } else {
-                if class == StepClass::Dispatch {
-                    return LaneStop::Yield(t);
-                }
-                let out = self.step_selected(t, mem, app_kernels, ready, wake);
-                debug_assert_eq!(out.workgroups_done, 0, "non-dispatch step retired a workgroup");
-            }
-        }
-    }
-
     /// The body of [`Cu::step`] with the arbitration input and the
     /// not-ready wake-up precomputed by [`Cu::collect_ready`].
-    fn step_selected<M: MemoryPort>(
+    fn step_selected(
         &mut self,
         now: Femtos,
-        mem: &mut M,
+        mem: &mut MemSystem,
         app_kernels: &[Kernel],
         ready: &[u32],
         wake: Femtos,
@@ -960,11 +777,11 @@ impl Cu {
         }
     }
 
-    fn issue<M: MemoryPort>(
+    fn issue(
         &mut self,
         slot: usize,
         now: Femtos,
-        mem: &mut M,
+        mem: &mut MemSystem,
         app_kernels: &[Kernel],
         outcome: &mut StepOutcome,
     ) {

@@ -9,11 +9,9 @@
 use crate::config::GpuConfig;
 use crate::cu::{CollectScratch, Cu, IDLE};
 use crate::kernel::{App, Kernel};
-use crate::lanes;
 use crate::mem::MemSystem;
 use crate::stats::{CuEpochStats, EpochStats};
 use crate::time::{Femtos, Frequency, WakeTree};
-use exec::WorkerPool;
 use snapshot::{ContainerReader, ContainerWriter, SnapError, Snapshot};
 use std::sync::Arc;
 
@@ -113,64 +111,41 @@ impl ProgressMeter {
     }
 }
 
-/// Kernel-launch and workgroup-dispatch state, split out of [`Gpu`] so the
-/// sharded lane coordinator (`lanes::run_window`) can drive dispatch while
-/// the CUs themselves are behind per-lane locks. The dispatch algorithm is
-/// identical in both execution modes; only how a freshly scheduled CU is
-/// re-queued differs, which is what the `woken` callback abstracts.
+/// Kernel-launch and workgroup-dispatch state: which kernel runs, how many
+/// of its workgroups are dispatched and live, and where the round-robin
+/// dispatcher resumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LaunchState {
-    pub(crate) kernel_idx: usize,
-    pub(crate) next_wg: u32,
-    pub(crate) wgs_remaining: u32,
-    pub(crate) next_uid: u64,
-    pub(crate) next_age: u64,
-    pub(crate) dispatch_cursor: usize,
-    pub(crate) completion: Option<Femtos>,
-}
-
-/// How the dispatcher reaches compute units: directly (`&mut [Cu]` in the
-/// serial loop) or through per-lane locks (sharded coordinator).
-pub(crate) trait CuAccess {
-    /// Number of CUs.
-    fn len(&self) -> usize;
-    /// Runs `f` with exclusive access to CU `i`.
-    fn with_cu<R>(&mut self, i: usize, f: impl FnOnce(&mut Cu) -> R) -> R;
-}
-
-/// Plain-slice [`CuAccess`] for the serial event loop.
-pub(crate) struct SliceCus<'a>(pub(crate) &'a mut [Cu]);
-
-impl CuAccess for SliceCus<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn with_cu<R>(&mut self, i: usize, f: impl FnOnce(&mut Cu) -> R) -> R {
-        f(&mut self.0[i])
-    }
+struct LaunchState {
+    kernel_idx: usize,
+    next_wg: u32,
+    wgs_remaining: u32,
+    next_uid: u64,
+    next_age: u64,
+    dispatch_cursor: usize,
+    completion: Option<Femtos>,
 }
 
 impl LaunchState {
     /// Handles one retired workgroup at time `t`: backfills dispatch, and
     /// on kernel completion launches the next kernel (device-wide sync) or
-    /// records app completion. `woken(cu, next_cycle)` fires for every CU
-    /// that received work and has a scheduled cycle.
-    pub(crate) fn on_workgroup_done(
+    /// records app completion. Every CU that receives work is rescheduled
+    /// in `wake` at its new `next_cycle`.
+    fn on_workgroup_done(
         &mut self,
         t: Femtos,
         kernels: &[Kernel],
-        cus: &mut impl CuAccess,
-        woken: &mut impl FnMut(usize, Femtos),
+        cus: &mut [Cu],
+        wake: &mut WakeTree,
     ) {
         self.wgs_remaining -= 1;
         if self.next_wg < kernels[self.kernel_idx].workgroups {
-            self.fill_cus(t, kernels, cus, woken);
+            self.fill_cus(t, kernels, cus, wake);
         } else if self.wgs_remaining == 0 {
             self.kernel_idx += 1;
             if self.kernel_idx < kernels.len() {
                 self.next_wg = 0;
                 self.wgs_remaining = kernels[self.kernel_idx].workgroups;
-                self.fill_cus(t, kernels, cus, woken);
+                self.fill_cus(t, kernels, cus, wake);
             } else {
                 self.completion = Some(t);
             }
@@ -178,32 +153,21 @@ impl LaunchState {
     }
 
     /// Dispatches as many pending workgroups as fit, round-robin over CUs.
-    pub(crate) fn fill_cus(
-        &mut self,
-        t: Femtos,
-        kernels: &[Kernel],
-        cus: &mut impl CuAccess,
-        woken: &mut impl FnMut(usize, Femtos),
-    ) {
+    fn fill_cus(&mut self, t: Femtos, kernels: &[Kernel], cus: &mut [Cu], wake: &mut WakeTree) {
         let kernel = &kernels[self.kernel_idx];
         let n = cus.len();
         let mut full_streak = 0;
         while self.next_wg < kernel.workgroups && full_streak < n {
             let cu = self.dispatch_cursor % n;
             let wg_size = kernel.wg_wavefronts as u64;
-            let kernel_idx = self.kernel_idx as u32;
-            let (next_uid, next_age) = (self.next_uid, self.next_age);
-            let dispatched = cus.with_cu(cu, |c| {
-                c.try_dispatch_wg(kernel, kernel_idx, next_uid, next_age, t).then_some(c.next_cycle)
-            });
-            if let Some(next) = dispatched {
+            let c = &mut cus[cu];
+            if c.try_dispatch_wg(kernel, self.kernel_idx as u32, self.next_uid, self.next_age, t) {
                 self.next_uid += wg_size;
                 self.next_age += wg_size;
                 self.next_wg += 1;
                 full_streak = 0;
-                if next != IDLE {
-                    woken(cu, next);
-                }
+                // Dispatch pulls the CU's clock back to `t` at the latest.
+                wake.set(cu, c.next_cycle);
             } else {
                 full_streak += 1;
             }
@@ -222,16 +186,10 @@ pub struct Gpu {
     launch: LaunchState,
     now: Femtos,
     /// The event queue: every CU's `next_cycle` in a winner tree, taken in
-    /// `(time, cu)` order. Each serial step, retime and dispatch that moves
-    /// a `next_cycle` sets it here; a sharded window or a snapshot load
-    /// rebuilds it from the CU clocks.
+    /// `(time, cu)` order. Each step, retime and dispatch that moves a
+    /// `next_cycle` sets it here; a snapshot load rebuilds it from the CU
+    /// clocks.
     wake: WakeTree,
-    /// Lane count for sharded execution (`PCSTALL_SIM_LANES`); 1 = the
-    /// classic serial event loop. Results are bit-identical either way.
-    sim_lanes: usize,
-    /// Worker pool for sharded execution; `None` uses the process-global
-    /// pool. Excluded from snapshots (host resource, not simulator state).
-    lane_pool: Option<Arc<WorkerPool>>,
     scratch: CollectScratch,
 }
 
@@ -259,8 +217,6 @@ impl Clone for Gpu {
             launch: self.launch,
             now: self.now,
             wake: self.wake.clone(),
-            sim_lanes: self.sim_lanes,
-            lane_pool: self.lane_pool.clone(),
             scratch: CollectScratch::default(),
         }
     }
@@ -276,8 +232,6 @@ impl Clone for Gpu {
             launch,
             now,
             wake,
-            sim_lanes,
-            lane_pool,
             scratch: _, // the destination keeps its own (stateless) scratch
         } = src;
         self.cfg = *cfg;
@@ -289,8 +243,6 @@ impl Clone for Gpu {
         self.launch = *launch;
         self.now = *now;
         self.wake.clone_from(wake);
-        self.sim_lanes = *sim_lanes;
-        self.lane_pool.clone_from(lane_pool);
     }
 }
 
@@ -328,36 +280,12 @@ impl Gpu {
             },
             now: Femtos::ZERO,
             wake: WakeTree::new(cfg.n_cus),
-            sim_lanes: lanes::lanes_from_env(),
-            lane_pool: None,
             scratch: CollectScratch::default(),
             cfg,
         };
-        gpu.fill_cus(Femtos::ZERO);
+        let Gpu { cus, launch, wake, app, .. } = &mut gpu;
+        launch.fill_cus(Femtos::ZERO, &app.kernels, cus, wake);
         gpu
-    }
-
-    /// The lane count for sharded execution (see [`Gpu::set_sim_lanes`]).
-    pub fn sim_lanes(&self) -> usize {
-        self.sim_lanes
-    }
-
-    /// Sets the lane count for sharded execution (clamped to at least 1).
-    ///
-    /// With `n > 1`, [`Gpu::run_until`] advances CUs on independent
-    /// per-lane schedules and merges shared-memory steps in deterministic
-    /// `(time, cu)` order, so *all* observable results — epoch stats,
-    /// telemetry, snapshots, completion times — are bit-identical to the
-    /// serial `n = 1` loop. Defaults to the `PCSTALL_SIM_LANES`
-    /// environment variable (or 1).
-    pub fn set_sim_lanes(&mut self, n: usize) {
-        self.sim_lanes = n.max(1);
-    }
-
-    /// Uses `pool` for sharded execution instead of the process-global
-    /// worker pool. Purely a host-resource choice; never affects results.
-    pub fn set_lane_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.lane_pool = Some(pool);
     }
 
     /// The configuration in effect.
@@ -441,23 +369,10 @@ impl Gpu {
     /// Advances simulation until `end` (exclusive). Events at or after
     /// `end` are left pending, so epochs compose exactly.
     ///
-    /// With [`Gpu::sim_lanes`] > 1 this runs the sharded per-CU lane
-    /// scheduler (`lanes::run_window`) instead of the serial event loop;
-    /// results are bit-identical. Nested use from inside a worker pool
-    /// (e.g. an oracle fork advancing its clone) stays serial so lane
-    /// parallelism never deadlocks or oversubscribes the pool.
+    /// The event loop: take the earliest `(time, cu)`, step that CU against
+    /// the shared memory system, retire its finished workgroups and
+    /// re-queue it at its new `next_cycle`.
     pub fn run_until(&mut self, end: Femtos) {
-        if self.sim_lanes > 1 && self.cus.len() > 1 && !exec::in_worker() {
-            self.run_until_sharded(end);
-        } else {
-            self.run_until_serial(end);
-        }
-    }
-
-    /// The classic serial event loop: take the earliest `(time, cu)`, step
-    /// that CU against the shared memory system, retire its finished
-    /// workgroups and re-queue it at its new `next_cycle`.
-    fn run_until_serial(&mut self, end: Femtos) {
         // Allocation-freedom gate (debug builds, armed probe only): the
         // steady-state window must not allocate — see `alloc_probe`.
         let alloc_mark =
@@ -472,7 +387,7 @@ impl Gpu {
             let outcome =
                 self.cus[i].step_with(t, &mut self.mem, &app.kernels, &mut self.scratch.ready);
             for _ in 0..outcome.workgroups_done {
-                self.on_workgroup_done(t);
+                self.launch.on_workgroup_done(t, &app.kernels, &mut self.cus, &mut self.wake);
             }
             self.wake.set(i, self.cus[i].next_cycle);
         }
@@ -480,35 +395,10 @@ impl Gpu {
             debug_assert_eq!(
                 crate::alloc_probe::count(),
                 mark,
-                "serial event loop allocated while the probe was armed"
+                "event loop allocated while the probe was armed"
             );
         }
         self.now = end;
-    }
-
-    /// Sharded execution: per-CU lanes advance independently through
-    /// CU-local work; steps that touch shared L2/DRAM or the dispatcher
-    /// are merged in `(time, cu)` order — exactly the serial pop order —
-    /// so every observable result is bit-identical to the serial loop.
-    fn run_until_sharded(&mut self, end: Femtos) {
-        let app = Arc::clone(&self.app);
-        let start = self.now;
-        lanes::run_window(
-            lanes::ShardCtx {
-                cus: &mut self.cus,
-                mem: &mut self.mem,
-                launch: &mut self.launch,
-                kernels: &app.kernels,
-                lanes: self.sim_lanes,
-                pool: self.lane_pool.as_ref(),
-            },
-            start,
-            end,
-        );
-        self.now = end;
-        // The lanes moved the CU clocks without the tree: re-sync it so the
-        // serial loop can take over at any window.
-        self.rebuild_wake();
     }
 
     /// Runs one epoch of `duration`, returning its telemetry.
@@ -614,12 +504,10 @@ impl Gpu {
     /// The encode mirrors the manual `Clone` above: the same exhaustive
     /// destructuring, so adding a field without updating this path is a
     /// compile error. The event queue is written as the sorted
-    /// `(next_cycle, cu)` list derived from the live CU clocks, which makes
-    /// the byte stream independent of the execution mode that produced the
-    /// state: serial and sharded runs of the same simulation snapshot to
-    /// identical bytes. A GPU restored by [`Gpu::load_snapshot`] is
-    /// *bit-exact*: stepping it produces the same event stream, stats and
-    /// telemetry as the uninterrupted original.
+    /// `(next_cycle, cu)` list derived from the live CU clocks, so the byte
+    /// stream depends only on the simulated state. A GPU restored by
+    /// [`Gpu::load_snapshot`] is *bit-exact*: stepping it produces the same
+    /// event stream, stats and telemetry as the uninterrupted original.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let Gpu {
             cfg,
@@ -637,10 +525,8 @@ impl Gpu {
                     completion,
                 },
             now,
-            wake: _,      // canonical form derived from `cus` below
-            sim_lanes: _, // host execution knob, not simulator state
-            lane_pool: _, // host resource
-            scratch: _,   // stateless epoch scratch; rebuilt on load
+            wake: _,    // canonical form derived from `cus` below
+            scratch: _, // stateless epoch scratch; rebuilt on load
         } = self;
         let mut c = ContainerWriter::new();
         c.section("config", |w| cfg.encode(w));
@@ -674,10 +560,11 @@ impl Gpu {
     /// section CRC), every cross-structure invariant `Gpu::new` would
     /// establish is re-validated: CU count and ids against the config,
     /// wavefront-slot geometry, memory-system config and per-CU miss-port
-    /// count, kernel launch-state bounds, and the event list: its indices
-    /// must be in range and every scheduled CU must have an entry at
-    /// exactly its `next_cycle` (entries matching no clock are legacy stale
-    /// duplicates and are ignored). A corrupted or internally inconsistent
+    /// count, kernel launch-state bounds, the workgroup count (remaining
+    /// workgroups = undispatched + live on the CUs, zero once complete),
+    /// and the event list: its indices must be in range and every
+    /// scheduled CU must have an entry at exactly its `next_cycle` (entries
+    /// matching no clock are legacy stale duplicates and are ignored). A corrupted or internally inconsistent
     /// snapshot yields a typed error, never a panicking simulator.
     pub fn load_snapshot(bytes: &[u8]) -> Result<Gpu, SnapError> {
         let c = ContainerReader::parse(bytes)?;
@@ -756,6 +643,30 @@ impl Gpu {
                 )));
             }
         }
+        // Every workgroup of the current kernel is undispatched, live on a
+        // CU, or retired; only the first two count as remaining.
+        let live: u64 = cus.iter().map(|cu| u64::from(cu.live_workgroups())).sum();
+        let (finished, undispatched) = match app.kernels.get(kernel_idx) {
+            Some(k) => (false, u64::from(k.workgroups - next_wg)),
+            None => (true, 0),
+        };
+        if finished != completion.is_some() {
+            return Err(SnapError::invalid(format!(
+                "kernel_idx {kernel_idx} of {} kernels disagrees with completion {completion:?}",
+                app.kernels.len()
+            )));
+        }
+        if finished && live != 0 {
+            return Err(SnapError::invalid(format!(
+                "app completed with {live} workgroups still live"
+            )));
+        }
+        if u64::from(wgs_remaining) != undispatched + live {
+            return Err(SnapError::invalid(format!(
+                "wgs_remaining {wgs_remaining} disagrees with {undispatched} undispatched + \
+                 {live} live workgroups"
+            )));
+        }
         let mut queued = vec![false; cfg.n_cus];
         for &(t, i) in &events {
             if i >= cfg.n_cus {
@@ -788,29 +699,10 @@ impl Gpu {
             },
             now,
             wake: WakeTree::new(cfg.n_cus),
-            sim_lanes: lanes::lanes_from_env(),
-            lane_pool: None,
             scratch: CollectScratch::default(),
         };
         gpu.rebuild_wake();
         Ok(gpu)
-    }
-
-    fn on_workgroup_done(&mut self, t: Femtos) {
-        let app = Arc::clone(&self.app);
-        let Gpu { cus, launch, wake, .. } = self;
-        launch.on_workgroup_done(t, &app.kernels, &mut SliceCus(cus), &mut |cu, next| {
-            wake.set(cu, next);
-        });
-    }
-
-    /// Dispatches as many pending workgroups as fit, round-robin over CUs.
-    fn fill_cus(&mut self, t: Femtos) {
-        let app = Arc::clone(&self.app);
-        let Gpu { cus, launch, wake, .. } = self;
-        launch.fill_cus(t, &app.kernels, &mut SliceCus(cus), &mut |cu, next| {
-            wake.set(cu, next);
-        });
     }
 }
 
@@ -1040,58 +932,6 @@ mod tests {
         assert!(gpu.is_done());
     }
 
-    /// Runs `epochs` epochs of 1 µs at the given lane count, returning the
-    /// per-epoch stats and the final snapshot bytes.
-    fn run_lanes(app: &App, lanes: usize, epochs: usize) -> (Vec<EpochStats>, Vec<u8>) {
-        let mut gpu = Gpu::new(GpuConfig::tiny(), app.clone());
-        gpu.set_sim_lanes(lanes);
-        let mut out = Vec::new();
-        for _ in 0..epochs {
-            out.push(gpu.run_epoch(Femtos::from_micros(1)));
-        }
-        (out, gpu.save_snapshot())
-    }
-
-    #[test]
-    fn sharded_compute_app_bit_identical_to_serial() {
-        let app = compute_app_trips(64, 400);
-        let (serial, snap1) = run_lanes(&app, 1, 12);
-        for lanes in [2, 8] {
-            let (sharded, snap) = run_lanes(&app, lanes, 12);
-            assert_eq!(serial, sharded, "epoch stats diverged at {lanes} lanes");
-            assert_eq!(snap1, snap, "snapshot diverged at {lanes} lanes");
-        }
-    }
-
-    #[test]
-    fn sharded_memory_app_bit_identical_to_serial() {
-        let app = memory_app(64);
-        let (serial, snap1) = run_lanes(&app, 1, 12);
-        for lanes in [2, 8] {
-            let (sharded, snap) = run_lanes(&app, lanes, 12);
-            assert_eq!(serial, sharded, "epoch stats diverged at {lanes} lanes");
-            assert_eq!(snap1, snap, "snapshot diverged at {lanes} lanes");
-        }
-    }
-
-    #[test]
-    fn sharded_completion_and_clone_match_serial() {
-        let app = compute_app(32);
-        let mut a = Gpu::new(GpuConfig::tiny(), app.clone());
-        a.set_sim_lanes(1);
-        let mut b = Gpu::new(GpuConfig::tiny(), app);
-        b.set_sim_lanes(4);
-        // Forks of a sharded GPU inherit the lane count and still match.
-        let mut b_fork = b.clone();
-        assert_eq!(b_fork.sim_lanes(), 4);
-        let ta = a.run_to_outcome(Femtos::from_micros(1000));
-        let tb = b.run_to_outcome(Femtos::from_micros(1000));
-        let tf = b_fork.run_to_outcome(Femtos::from_micros(1000));
-        assert_eq!(ta, tb);
-        assert_eq!(ta, tf);
-        assert_eq!(a.save_snapshot(), b.save_snapshot());
-    }
-
     #[test]
     fn retiming_keeps_event_queue_bounded() {
         // Heavy per-epoch retiming (fine-grain DVFS retimes every domain
@@ -1113,48 +953,6 @@ mod tests {
             max_len <= bound,
             "event queue grew to {max_len} entries under per-epoch retiming (bound {bound})"
         );
-    }
-
-    #[test]
-    fn no_progress_on_drained_event_queue_sharded() {
-        // The provable-hang detection must behave identically under
-        // sharded execution: the liveness check aggregates per-CU
-        // next_cycle values, not the (mode-specific) event queue.
-        let mut gpu = Gpu::new(GpuConfig::tiny(), compute_app_trips(64, 400));
-        gpu.set_sim_lanes(4);
-        gpu.run_until(Femtos::from_micros(1));
-        assert!(!gpu.is_done());
-        for cu in &mut gpu.cus {
-            cu.next_cycle = IDLE;
-        }
-        gpu.rebuild_wake();
-        match gpu.run_to_outcome(Femtos::from_micros(1000)) {
-            RunOutcome::NoProgress { now, committed } => {
-                assert_eq!(now, Femtos::from_micros(1));
-                assert_eq!(committed, 0);
-            }
-            other => panic!("expected NoProgress, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn no_progress_on_stalled_window_sharded_matches_serial() {
-        // A transition stall longer than the meter window must be declared
-        // at the identical simulated time whether the window between
-        // chunks is executed serially or sharded.
-        let outcome_at = |lanes: usize| {
-            let mut gpu = Gpu::new(GpuConfig::tiny(), compute_app_trips(64, 400));
-            gpu.set_sim_lanes(lanes);
-            gpu.run_until(Femtos::from_micros(1));
-            let all: Vec<usize> = (0..gpu.n_cus()).collect();
-            gpu.set_frequency_of(&all, Frequency::from_mhz(1300), Femtos::from_micros(100_000));
-            let mut meter = ProgressMeter::with_window(8);
-            gpu.run_metered(Femtos::from_micros(1_000_000), &mut meter)
-        };
-        let serial = outcome_at(1);
-        assert!(matches!(serial, RunOutcome::NoProgress { .. }), "got {serial:?}");
-        assert_eq!(serial, outcome_at(2));
-        assert_eq!(serial, outcome_at(8));
     }
 
     #[test]

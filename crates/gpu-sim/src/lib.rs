@@ -48,7 +48,6 @@ pub mod cu;
 pub mod gpu;
 pub mod isa;
 pub mod kernel;
-pub mod lanes;
 pub mod mem;
 pub mod rng;
 pub mod stats;
@@ -61,7 +60,6 @@ pub mod prelude {
     pub use crate::gpu::{Gpu, ProgressMeter, RunOutcome};
     pub use crate::isa::{Op, Pc};
     pub use crate::kernel::{AddressPattern, App, Kernel, KernelBuilder};
-    pub use crate::lanes::lanes_from_env;
     pub use crate::stats::{CuEpochStats, EpochStats, WfEpochStats};
     pub use crate::time::{Femtos, Frequency};
 }

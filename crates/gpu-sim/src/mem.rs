@@ -177,51 +177,6 @@ pub struct AccessOutcome {
     pub l2_hit: bool,
 }
 
-/// The seam between a compute unit and the shared memory system.
-///
-/// [`crate::cu::Cu::step`] is generic over this trait so the same issue
-/// logic serves both execution modes: the serial event loop (and the
-/// sharded coordinator's merge phase) step CUs against the real
-/// [`MemSystem`], while lane-local stepping under `PCSTALL_SIM_LANES`
-/// uses a port that must never be reached — the lane scheduler proves,
-/// via [`crate::cu::Cu`]'s pre-step classification, that a lane-local
-/// step cannot touch shared L2/DRAM state, and the no-op port turns any
-/// violation of that proof into a loud panic instead of a silent
-/// determinism bug.
-pub trait MemoryPort {
-    /// Issues an L1-miss load from `cu` at `now`; see [`MemSystem::load`].
-    fn load(&mut self, cu: usize, addr: u64, now: Femtos, cu_period: Femtos) -> AccessOutcome;
-    /// Issues a store from `cu` at `now`; see [`MemSystem::store`].
-    fn store(&mut self, cu: usize, addr: u64, now: Femtos, cu_period: Femtos) -> AccessOutcome;
-}
-
-impl MemoryPort for MemSystem {
-    fn load(&mut self, cu: usize, addr: u64, now: Femtos, cu_period: Femtos) -> AccessOutcome {
-        MemSystem::load(self, cu, addr, now, cu_period)
-    }
-    fn store(&mut self, cu: usize, addr: u64, now: Femtos, cu_period: Femtos) -> AccessOutcome {
-        MemSystem::store(self, cu, addr, now, cu_period)
-    }
-}
-
-/// The lane-local memory port: every access is a bug.
-///
-/// A step classified lane-local by [`crate::cu::Cu`] touches only L1
-/// probe-hits and CU-private state; reaching this port means the
-/// classification and the issue path disagree, which would silently break
-/// cross-lane bit-exactness if allowed to proceed.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct LocalOnly;
-
-impl MemoryPort for LocalOnly {
-    fn load(&mut self, cu: usize, addr: u64, now: Femtos, _cu_period: Femtos) -> AccessOutcome {
-        unreachable!("lane-local step on CU {cu} reached the shared memory system (load of {addr:#x} at {now})")
-    }
-    fn store(&mut self, cu: usize, addr: u64, now: Femtos, _cu_period: Femtos) -> AccessOutcome {
-        unreachable!("lane-local step on CU {cu} reached the shared memory system (store of {addr:#x} at {now})")
-    }
-}
-
 /// Fixed latencies pre-converted from nanoseconds to [`Femtos`], so the
 /// per-access hot path ([`MemSystem::load`]/[`MemSystem::store`]) does no
 /// unit conversion. Purely derived from [`MemConfig`]: excluded from the

@@ -186,9 +186,16 @@ fn cross_config_tamper_rejected() {
     assert!(matches!(err, SnapError::Invalid(_) | SnapError::Truncated), "got {err}");
 }
 
-/// Re-encodes `bytes` with the "sched" section's event list passed through
-/// `edit`; every other byte is copied as is, so the result is CRC-valid.
-fn with_events(bytes: &[u8], mut edit: impl FnMut(&mut Vec<(Femtos, usize)>)) -> Vec<u8> {
+/// The editable fields of a snapshot's "sched" section.
+struct Sched {
+    wgs_remaining: u32,
+    events: Vec<(Femtos, usize)>,
+}
+
+/// Re-encodes `bytes` with the "sched" section's workgroup count and event
+/// list passed through `edit`; every other byte is copied as is, so the
+/// result is CRC-valid.
+fn with_sched(bytes: &[u8], mut edit: impl FnMut(&mut Sched)) -> Vec<u8> {
     let reader = ContainerReader::parse(bytes).unwrap();
     let mut w = snapshot::ContainerWriter::new();
     for name in reader.section_names() {
@@ -204,19 +211,20 @@ fn with_events(bytes: &[u8], mut edit: impl FnMut(&mut Vec<(Femtos, usize)>)) ->
             (d.take_u64().unwrap(), d.take_u64().unwrap(), d.take_usize().unwrap());
         let now = Femtos::decode(&mut d).unwrap();
         let completion = Option::<Femtos>::decode(&mut d).unwrap();
-        let mut events = Vec::<(Femtos, usize)>::decode(&mut d).unwrap();
+        let events = Vec::<(Femtos, usize)>::decode(&mut d).unwrap();
         d.finish().unwrap();
-        edit(&mut events);
+        let mut sched = Sched { wgs_remaining, events };
+        edit(&mut sched);
         w.section(name, |enc| {
             enc.put_usize(kernel_idx);
             enc.put_u32(next_wg);
-            enc.put_u32(wgs_remaining);
+            enc.put_u32(sched.wgs_remaining);
             enc.put_u64(next_uid);
             enc.put_u64(next_age);
             enc.put_usize(cursor);
             now.encode(enc);
             completion.encode(enc);
-            events.encode(enc);
+            sched.events.encode(enc);
         });
     }
     w.finish()
@@ -228,10 +236,10 @@ fn event_list_missing_a_scheduled_cu_rejected() {
     gpu.run_epoch(Femtos::from_micros(2));
     let bytes = gpu.save_snapshot();
     // The re-encoder itself is faithful: an unedited list is the same bytes.
-    assert_eq!(with_events(&bytes, |_| {}), bytes);
-    let dropped = with_events(&bytes, |events| {
-        assert!(events.len() > 1, "every tiny-GPU CU is busy after 2 µs");
-        events.remove(1);
+    assert_eq!(with_sched(&bytes, |_| {}), bytes);
+    let dropped = with_sched(&bytes, |s| {
+        assert!(s.events.len() > 1, "every tiny-GPU CU is busy after 2 µs");
+        s.events.remove(1);
     });
     match Gpu::load_snapshot(&dropped).unwrap_err() {
         SnapError::Invalid(msg) => assert!(msg.contains("no entry"), "got {msg}"),
@@ -246,10 +254,10 @@ fn legacy_stale_event_duplicates_accepted() {
     let bytes = gpu.save_snapshot();
     // Older writers could leave superseded entries behind: an earlier time
     // for a scheduled CU and an exact duplicate. Both are ignored on load.
-    let stale = with_events(&bytes, |events| {
-        let (t, cu) = events[0];
-        events.insert(0, (Femtos(t.0 - 1), cu));
-        events.push((t, cu));
+    let stale = with_sched(&bytes, |s| {
+        let (t, cu) = s.events[0];
+        s.events.insert(0, (Femtos(t.0 - 1), cu));
+        s.events.push((t, cu));
     });
     let mut restored = Gpu::load_snapshot(&stale).expect("stale duplicates load");
     assert_eq!(restored.event_queue_len(), gpu.event_queue_len());
@@ -259,4 +267,40 @@ fn legacy_stale_event_duplicates_accepted() {
         assert_eq!(a, b, "restored GPU diverged at epoch {epoch}");
     }
     assert_eq!(gpu.save_snapshot(), restored.save_snapshot());
+}
+
+#[test]
+fn workgroup_count_disagreeing_with_cus_rejected() {
+    let mut mid_run = Gpu::new(GpuConfig::tiny(), memory_app(16));
+    mid_run.run_epoch(Femtos::from_micros(2));
+    assert!(!mid_run.is_done());
+    let mut completed = Gpu::new(GpuConfig::tiny(), compute_app(8));
+    assert!(completed.run_to_outcome(Femtos::from_micros(1000)).is_completed());
+    for gpu in [mid_run, completed] {
+        let bytes = gpu.save_snapshot();
+        let mut count = 0;
+        assert_eq!(with_sched(&bytes, |s| count = s.wgs_remaining), bytes);
+        // The true count is the undispatched plus the live workgroups
+        // (zero once complete); any other count disagrees with the CUs.
+        for bad in [0, 1, count + 1].into_iter().filter(|&b| b != count) {
+            let edited = with_sched(&bytes, |s| s.wgs_remaining = bad);
+            match Gpu::load_snapshot(&edited).unwrap_err() {
+                SnapError::Invalid(msg) => assert!(msg.contains("wgs_remaining"), "got {msg}"),
+                other => panic!("wgs_remaining {bad} of {count}: expected Invalid, got {other}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn roundtrip_table_ii_apps_mid_run() {
+    for name in ["lulesh", "dgemm", "hacc"] {
+        let app = workloads::registry::by_name(name, workloads::registry::Scale::Quick).unwrap();
+        let mut probe = Gpu::new(GpuConfig::tiny(), app.clone());
+        for _ in 0..3 {
+            probe.run_epoch(Femtos::from_micros(1));
+        }
+        assert!(!probe.is_done(), "{name}: must still be mid-run at the snapshot point");
+        assert_restored_equals_original(app, 1700, 3, 3);
+    }
 }

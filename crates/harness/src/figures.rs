@@ -1110,7 +1110,7 @@ pub fn fuzz_with(seed: u64, count: u64, threads: usize) -> FigureResult {
             "scenario".into(),
             "kernels".into(),
             "instrs".into(),
-            "properties (monotonicity, conservation, snapshot, lanes)".into(),
+            "properties (monotonicity, conservation, snapshot)".into(),
         ],
         rows,
         notes: vec![

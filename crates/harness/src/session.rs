@@ -312,22 +312,16 @@ impl Session {
 
     /// Samples the oracle on `pool` instead of the process-global pool
     /// (useful for determinism tests and benchmarks that pin an explicit
-    /// thread count). The sharded lane scheduler, when enabled, shares the
-    /// same pool.
+    /// thread count).
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.gpu.set_lane_pool(Arc::clone(&pool));
         self.pool = pool;
         self
     }
 
-    /// Runs the simulator with `lanes` sharded per-CU lanes (see
-    /// `gpu_sim::lanes`; results are bit-identical at any lane count).
-    /// Overrides the `PCSTALL_SIM_LANES` environment default the GPU was
-    /// constructed with; `1` forces the serial event loop. Supervised and
-    /// preemptible runs are unaffected — lanes synchronize inside an epoch,
-    /// and preemption happens at epoch boundaries.
-    pub fn with_sim_lanes(mut self, lanes: usize) -> Self {
-        self.gpu.set_sim_lanes(lanes);
+    /// Does nothing: the simulator has one serial event loop and no lane
+    /// count. Kept only because `perfbench` still calls it with 1; it goes
+    /// when that call does.
+    pub fn with_sim_lanes(self, _lanes: usize) -> Self {
         self
     }
 

@@ -18,8 +18,8 @@
 //!   divergence, locality patterns and multi-kernel sequences.
 //! * [`properties`] — the differential oracles fuzzed scenarios are
 //!   checked against: V/f-grid energy monotonicity, energy-accounting
-//!   conservation across snapshot splits, snapshot round-trip
-//!   bit-exactness and lane-count determinism.
+//!   conservation across snapshot splits and snapshot round-trip
+//!   bit-exactness.
 //! * [`source`] — [`Source::parse`] turns `"xsbench"`, `"trace:p.pckt"` or
 //!   `"fuzz:42:7"` specs into buildable sources, with did-you-mean
 //!   suggestions on registry misses.

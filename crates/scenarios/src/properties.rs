@@ -16,9 +16,6 @@
 //!    per-epoch energies, *bit for bit*, as the uninterrupted run.
 //! 3. **Snapshot round trip** — `save → load → save` must reproduce the
 //!    byte string, and both simulators must then step identically.
-//! 4. **Lane determinism** — the sharded execution paths (1 lane vs 4)
-//!    must produce identical epoch telemetry and identical final
-//!    snapshots.
 //!
 //! Violations are typed ([`PropertyViolation`]) and carry the scenario
 //! name plus the disagreeing values, so a fuzz failure is actionable
@@ -47,7 +44,7 @@ pub struct PropertyConfig {
     pub epoch: Femtos,
     /// Epochs run before sampling the V/f grid (past the launch ramp).
     pub warmup_epochs: u32,
-    /// Total epochs in the split/determinism runs.
+    /// Total epochs in the split run.
     pub run_epochs: u32,
     /// Epoch index at which the conservation run snapshots and restores.
     pub split_at: u32,
@@ -108,16 +105,6 @@ pub enum PropertyViolation {
         /// What went wrong.
         detail: String,
     },
-    /// Lane counts 1 and 4 disagreed.
-    LaneDeterminism {
-        /// Scenario (app) name.
-        scenario: String,
-        /// First epoch (0-based) at which the lane counts disagree, or
-        /// `run_epochs` when only the final snapshots differ.
-        epoch: u32,
-        /// What disagreed.
-        detail: String,
-    },
 }
 
 impl PropertyViolation {
@@ -126,8 +113,7 @@ impl PropertyViolation {
         match self {
             PropertyViolation::Monotonicity { scenario, .. }
             | PropertyViolation::Conservation { scenario, .. }
-            | PropertyViolation::SnapshotRoundtrip { scenario, .. }
-            | PropertyViolation::LaneDeterminism { scenario, .. } => scenario,
+            | PropertyViolation::SnapshotRoundtrip { scenario, .. } => scenario,
         }
     }
 
@@ -137,7 +123,6 @@ impl PropertyViolation {
             PropertyViolation::Monotonicity { .. } => "monotonicity",
             PropertyViolation::Conservation { .. } => "conservation",
             PropertyViolation::SnapshotRoundtrip { .. } => "snapshot-roundtrip",
-            PropertyViolation::LaneDeterminism { .. } => "lane-determinism",
         }
     }
 }
@@ -163,9 +148,6 @@ impl fmt::Display for PropertyViolation {
             PropertyViolation::SnapshotRoundtrip { scenario, detail } => {
                 write!(f, "{scenario}: snapshot roundtrip failed: {detail}")
             }
-            PropertyViolation::LaneDeterminism { scenario, epoch, detail } => {
-                write!(f, "{scenario}: lanes 1 vs 4 diverged at epoch {epoch}: {detail}")
-            }
         }
     }
 }
@@ -184,7 +166,6 @@ fn epoch_energy_j(model: &PowerModel, stats: &EpochStats) -> f64 {
 pub fn check_monotonicity(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolation> {
     let model = PowerModel::new(cfg.power);
     let mut gpu = Gpu::new(cfg.gpu, app.clone());
-    gpu.set_sim_lanes(1);
     for _ in 0..cfg.warmup_epochs {
         gpu.run_epoch(cfg.epoch);
     }
@@ -228,9 +209,7 @@ pub fn check_monotonicity(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolat
 pub fn check_conservation(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolation> {
     let model = PowerModel::new(cfg.power);
     let mut straight = Gpu::new(cfg.gpu, app.clone());
-    straight.set_sim_lanes(1);
     let mut split = Gpu::new(cfg.gpu, app.clone());
-    split.set_sim_lanes(1);
     let mut out = Vec::new();
     for epoch in 0..cfg.run_epochs {
         if epoch == cfg.split_at {
@@ -246,7 +225,6 @@ pub fn check_conservation(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolat
                     return out;
                 }
             };
-            split.set_sim_lanes(1);
         }
         let a = straight.run_epoch(cfg.epoch);
         let b = split.run_epoch(cfg.epoch);
@@ -275,7 +253,6 @@ pub fn check_conservation(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolat
 /// simulator steps in lockstep with the original.
 pub fn check_snapshot_roundtrip(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolation> {
     let mut gpu = Gpu::new(cfg.gpu, app.clone());
-    gpu.set_sim_lanes(1);
     for _ in 0..cfg.split_at {
         gpu.run_epoch(cfg.epoch);
     }
@@ -289,7 +266,6 @@ pub fn check_snapshot_roundtrip(app: &App, cfg: &PropertyConfig) -> Vec<Property
             }];
         }
     };
-    restored.set_sim_lanes(1);
     if restored.save_snapshot() != bytes {
         return vec![PropertyViolation::SnapshotRoundtrip {
             scenario: app.name.clone(),
@@ -307,41 +283,12 @@ pub fn check_snapshot_roundtrip(app: &App, cfg: &PropertyConfig) -> Vec<Property
     Vec::new()
 }
 
-/// Property 4: lane counts 1 and 4 produce identical telemetry every
-/// epoch and identical final snapshots.
-pub fn check_lane_determinism(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolation> {
-    let mut one = Gpu::new(cfg.gpu, app.clone());
-    one.set_sim_lanes(1);
-    let mut four = Gpu::new(cfg.gpu, app.clone());
-    four.set_sim_lanes(4);
-    for epoch in 0..cfg.run_epochs {
-        let a = one.run_epoch(cfg.epoch);
-        let b = four.run_epoch(cfg.epoch);
-        if a != b {
-            return vec![PropertyViolation::LaneDeterminism {
-                scenario: app.name.clone(),
-                epoch,
-                detail: "epoch telemetry differs between lane counts".into(),
-            }];
-        }
-    }
-    if one.save_snapshot() != four.save_snapshot() {
-        return vec![PropertyViolation::LaneDeterminism {
-            scenario: app.name.clone(),
-            epoch: cfg.run_epochs,
-            detail: "final snapshots differ between lane counts".into(),
-        }];
-    }
-    Vec::new()
-}
-
 /// Runs the full catalogue against one scenario, concatenating every
 /// violation (an empty vector is a pass).
 pub fn check_all(app: &App, cfg: &PropertyConfig) -> Vec<PropertyViolation> {
     let mut out = check_monotonicity(app, cfg);
     out.extend(check_conservation(app, cfg));
     out.extend(check_snapshot_roundtrip(app, cfg));
-    out.extend(check_lane_determinism(app, cfg));
     out
 }
 

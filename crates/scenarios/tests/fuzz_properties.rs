@@ -1,9 +1,8 @@
 //! Property suite over the fuzz corpus: 25+ seeded scenarios must pass
 //! every differential oracle — energy monotonicity across the V/f grid,
-//! energy-accounting conservation across a snapshot split, snapshot
-//! save/restore bit-exactness and lane-count determinism — with zero
-//! violations, reproducibly (ci.sh runs this file at `PCSTALL_THREADS=1`
-//! and `=8`).
+//! energy-accounting conservation across a snapshot split and snapshot
+//! save/restore bit-exactness — with zero violations, reproducibly
+//! (ci.sh runs this file at `PCSTALL_THREADS=1` and `=8`).
 
 use scenarios::{fuzz, properties, PropertyConfig};
 

@@ -78,7 +78,7 @@
 //! round-trips bit-exactly. The `fuzz` subcommand generates `--count`
 //! seeded scenarios and runs every one through the differential property
 //! oracles (energy monotonicity, accounting conservation, snapshot
-//! round-trip, lane determinism), exiting 2 on any violation.
+//! round-trip), exiting 2 on any violation.
 //!
 //! `--apps SPEC[,SPEC...]` redirects every experiment at the given
 //! workload sources instead of the Table II suite (e.g.

@@ -37,8 +37,8 @@ PCSTALL_THREADS=1 cargo test -q -p harness --test resilience_faults
 echo "==> fault injection & degradation ladder @ PCSTALL_THREADS=8"
 PCSTALL_THREADS=8 cargo test -q -p harness --test resilience_faults
 
-echo "==> resilience smoke bench (2 apps x 2 policies x 2 fault rates)"
-PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench resilience
+echo "==> resilience smoke via the CLI (2 apps x 2 policies x 2 fault rates)"
+PCSTALL_BENCH_SMOKE=1 cargo run -q --release --bin repro -- run resilience
 
 # Checkpoint/restore determinism at the thread-count extremes: restored
 # warmup prefixes and resumed sweeps must be bit-identical to cold runs
@@ -64,6 +64,17 @@ PCSTALL_THREADS=8 cargo test -q -p harness --test supervision
 
 echo "==> supervision smoke bench (hang-rate ladder)"
 PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench supervision
+
+# Archive regression: `repro run` regenerates these committed results
+# byte-identically (deterministic at every thread count, ~2.5 s together).
+echo "==> archived results regenerate byte-identical (table1, table2, fig05, ablation_scope)"
+for id in table1 table2 fig05 ablation_scope; do
+  cargo run -q --release --bin repro -- run "$id" > /dev/null
+done
+git diff --exit-code -- results/table1_storage.md results/table1_storage.csv \
+  results/table2_workloads.md results/table2_workloads.csv \
+  results/fig05_linearity.md results/fig05_linearity.csv \
+  results/ablation_scope.md results/ablation_scope.csv
 
 # Bit-exactness oracle for the simulator: epoch stats, snapshot bytes and
 # run-to-completion over the Table II suite, plus retimed runs on 64 and

@@ -75,7 +75,7 @@ fn main() {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0.10);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let path = bench::results_dir().join("BENCH_hotpath.json");
+    let path = harness::report::results_dir().join("BENCH_hotpath.json");
 
     if smoke {
         // Regression gate only; the committed JSON stays untouched.

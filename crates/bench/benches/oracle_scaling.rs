@@ -93,7 +93,7 @@ fn main() {
          \"iters\": {iters},\n  \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = bench::results_dir().join("BENCH_oracle.json");
+    let path = harness::report::results_dir().join("BENCH_oracle.json");
     harness::report::write_atomic(&path, &json).expect("write BENCH_oracle.json");
     println!("wrote {}", path.display());
 }

@@ -66,7 +66,7 @@ fn main() {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0.10);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let path = bench::results_dir().join("BENCH_parsim.json");
+    let path = harness::report::results_dir().join("BENCH_parsim.json");
 
     let probe_gpu = warmed_gpu(BASELINE_WORKLOAD);
     let probe = epochs_per_sec(&probe_gpu);

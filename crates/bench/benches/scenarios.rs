@@ -108,7 +108,7 @@ fn main() {
         gen_stats.json_fields("fuzz_round_ms"),
         oracle_stats.json_fields("oracle_round_ms"),
     );
-    let path = bench::results_dir().join("BENCH_scenarios.json");
+    let path = harness::report::results_dir().join("BENCH_scenarios.json");
     harness::report::write_atomic(&path, &json).expect("write BENCH_scenarios.json");
     println!("wrote {}", path.display());
 }

@@ -106,7 +106,7 @@ fn main() {
          ingest (submit) time\",\n  \"grid\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );
-    let path = bench::results_dir().join("BENCH_server.json");
+    let path = harness::report::results_dir().join("BENCH_server.json");
     harness::report::write_atomic(&path, &json).expect("write BENCH_server.json");
     println!("wrote {}", path.display());
 }

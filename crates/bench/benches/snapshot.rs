@@ -142,7 +142,7 @@ fn main() {
         cold_stats.json_fields("cold_ms"),
         warm_stats.json_fields("warm_ms"),
     );
-    let path = bench::results_dir().join("BENCH_snapshot.json");
+    let path = harness::report::results_dir().join("BENCH_snapshot.json");
     harness::report::write_atomic(&path, &json).expect("write BENCH_snapshot.json");
     println!("wrote {}", path.display());
 }

@@ -110,7 +110,7 @@ fn main() {
         scfg.seed,
         points.join(",\n    "),
     );
-    let path = bench::results_dir().join("BENCH_supervision.json");
+    let path = harness::report::results_dir().join("BENCH_supervision.json");
     harness::report::write_atomic(&path, &json).expect("write BENCH_supervision.json");
     println!("wrote {}", path.display());
 }

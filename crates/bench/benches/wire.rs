@@ -152,7 +152,7 @@ fn committed_loopback_median(json: &str, tenants: u64) -> Option<f64> {
 
 fn main() {
     let smoke = std::env::var("PCSTALL_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let path = bench::results_dir().join("BENCH_wire.json");
+    let path = harness::report::results_dir().join("BENCH_wire.json");
 
     if smoke {
         // Codec cells: a does-the-loop-run pass, no gate.

@@ -1,54 +1,10 @@
-//! Shared driver for the figure-reproduction bench targets.
+//! Shared statistics for the self-timed benches.
 //!
-//! Every paper figure/table has a `[[bench]]` target with `harness = false`
-//! whose `main` calls [`run_figure`]: the experiment runs at the preset
-//! scale (reduced by default; `PCSTALL_FULL=1` for the 64-CU paper
-//! platform), prints the paper-style table, and archives it under
-//! `results/`.
-
-use harness::figures::{FigureOutput, FigureResult, Preset};
-use harness::report::{write_atomic, write_csv};
-use std::path::PathBuf;
-use std::time::Instant;
-
-/// Runs one figure experiment, prints its table and archives it. A failed
-/// experiment prints its typed error and exits with status 1, so CI and
-/// scripts see the failure instead of a clean bench run.
-pub fn run_figure(name: &str, f: fn(&Preset) -> FigureResult) {
-    let preset = Preset::from_env();
-    let t0 = Instant::now();
-    let out = match f(&preset) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("[{name}] failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!("[{name}] computed in {:.1}s", t0.elapsed().as_secs_f64());
-    run_figure_with(name, &preset, out);
-}
-
-/// Prints and archives an already-computed figure output. Both artifacts
-/// go through the atomic writer: an interrupted bench leaves the previous
-/// complete file, never a truncated one.
-pub fn run_figure_with(name: &str, preset: &Preset, out: FigureOutput) {
-    let t0 = Instant::now();
-    println!("{}", out.render());
-    let dir = results_dir();
-    let md = dir.join(format!("{name}.md"));
-    if let Err(e) = write_atomic(&md, &out.render()) {
-        eprintln!("warning: cannot write {}: {e}", md.display());
-    }
-    let headers: Vec<&str> = out.headers.iter().map(String::as_str).collect();
-    if let Err(e) = write_csv(&dir.join(format!("{name}.csv")), &headers, &out.rows) {
-        eprintln!("warning: cannot write csv: {e}");
-    }
-    eprintln!(
-        "[{name}] done in {:.1}s (preset: {}; set PCSTALL_FULL=1 for paper scale)",
-        t0.elapsed().as_secs_f64(),
-        if preset.full { "full 64-CU" } else { "reduced 16-CU" },
-    );
-}
+//! Each `[[bench]]` target is a plain `fn main` (`harness = false`) that
+//! times one layer, writes its `results/BENCH_*.json` row through
+//! `harness::report::results_dir`, and under `PCSTALL_BENCH_SMOKE=1` runs
+//! one short pass as a CI gate. The paper's figures and tables are not
+//! benches: `repro run <id>` regenerates and archives them.
 
 /// Min / median / max over N repetitions of a self-timed measurement.
 ///
@@ -100,13 +56,4 @@ pub fn rep_stats(runs: &[f64]) -> RepStats {
 pub fn repeat_measure(reps: usize, mut f: impl FnMut() -> f64) -> RepStats {
     let runs: Vec<f64> = (0..reps).map(|_| f()).collect();
     rep_stats(&runs)
-}
-
-/// Where figure outputs are archived.
-pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.join("results")
 }

@@ -635,9 +635,13 @@ impl DvfsPolicy for AccPcPolicy {
                     }
                     // Only states where the wavefront actually executed
                     // (or was genuinely stalled) inform the fit; fully
-                    // arbitration-starved states carry no signal.
+                    // arbitration-starved states carry no signal. A thermal
+                    // clamp or the power cap can shrink the legal states to
+                    // a prefix, so the samples may cover fewer states than
+                    // `ctx.states`: fit only the states that were sampled.
                     let pts: Vec<(f64, f64)> = mhz
                         .iter()
+                        .take(prev.wf_committed[cu][slot].len())
                         .enumerate()
                         .filter(|&(k, _)| {
                             prev.wf_committed[cu][slot][k] > 0 || prev.wf_denial[cu][slot][k] <= 0.5

@@ -1,47 +1,35 @@
-//! One experiment per paper figure/table.
+//! One experiment per paper figure/table, plus the ablation and extension
+//! studies.
 //!
-//! Every function returns a [`FigureOutput`] — title, table rows and notes —
-//! that the `bench` crate's targets print and archive. All experiments obey
-//! the active [`Preset`]: the reduced preset (default) uses a 16-CU GPU and
-//! quick workloads so `cargo bench` stays tractable; `PCSTALL_FULL=1`
-//! switches to the paper's 64-CU platform at standard scale.
+//! Every function takes a [`Preset`] and returns a [`FigureOutput`] —
+//! title, table rows and notes — that `repro run <id>` prints and archives
+//! under `results/`. The preset is the only input a figure reads: the
+//! reduced preset (default) uses a 16-CU GPU and quick workloads;
+//! [`Preset::full`] (`repro --full`) is the paper's 64-CU platform at
+//! standard scale. Its `faults`, `supervise` and `sources` fields carry
+//! `repro`'s `--faults`, `--deadline`/`--max-retries` and `--apps` flags.
 
 use crate::error::{self, HarnessError};
-use crate::report::{f3, markdown_table, pct, write_atomic};
+use crate::report::{f3, markdown_table, pct, results_dir, write_atomic};
 use crate::runner::{run_with_sensitivity_trace, FaultSetup, RunConfig};
 use crate::studies::{linearity_study, probe_series, resilience_sweep, PcScope};
 use crate::sweeps::{default_threads, global_baseline_cache, run_grid, SuiteCell};
 use dvfs::epoch::EpochConfig;
+use dvfs::hierarchy::PowerCapConfig;
 use dvfs::objective::Objective;
 use dvfs::states::FreqStates;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::kernel::App;
 use gpu_sim::time::Femtos;
 use pcstall::estimators::CuEstimator;
-use pcstall::policy::{PcStallConfig, PolicyKind};
+use pcstall::history::HistoryConfig;
+use pcstall::policy::{PcStallConfig, PolicyKind, TableScope};
 use power::energy::geomean;
 use power::storage;
-use std::sync::OnceLock;
 use workloads::{suite, table2, Scale};
 
 /// The shorthand every figure entry point returns.
 pub type FigureResult = Result<FigureOutput, HarnessError>;
-
-static FAULT_OVERRIDE: OnceLock<FaultSetup> = OnceLock::new();
-
-/// Installs a process-wide fault setup that every subsequent figure run
-/// inherits (the `repro --faults` flag). Returns `false` if an override is
-/// already installed — like the worker pool, the override is set once,
-/// before any experiment runs. The resilience figure ignores the override's
-/// rates (it sweeps its own) but adopts its seed.
-pub fn set_fault_override(setup: FaultSetup) -> bool {
-    FAULT_OVERRIDE.set(setup).is_ok()
-}
-
-/// The installed fault override, if any.
-pub fn fault_override() -> Option<FaultSetup> {
-    FAULT_OVERRIDE.get().copied()
-}
 
 /// Supervision knobs the `repro` CLI can override (`--deadline`,
 /// `--max-retries`); unset fields keep the figure's defaults.
@@ -53,46 +41,8 @@ pub struct SuperviseOverride {
     pub max_retries: Option<u32>,
 }
 
-static SUPERVISE_OVERRIDE: OnceLock<SuperviseOverride> = OnceLock::new();
-
-/// Installs process-wide supervision overrides, latched by the first
-/// caller like [`set_fault_override`]. Returns `false` if already set.
-pub fn set_supervise_override(over: SuperviseOverride) -> bool {
-    SUPERVISE_OVERRIDE.set(over).is_ok()
-}
-
-/// The installed supervision override, if any.
-pub fn supervise_override() -> Option<SuperviseOverride> {
-    SUPERVISE_OVERRIDE.get().copied()
-}
-
-static SOURCE_OVERRIDE: OnceLock<Vec<scenarios::Source>> = OnceLock::new();
-
-/// Installs a process-wide workload-source override (the `repro --apps`
-/// flag): every subsequent figure runs on these sources — registry names,
-/// trace files or fuzz scenarios — instead of the Table II suite. Each
-/// source is built once here so a bad trace path or misspelled workload
-/// fails up front with a typed error instead of mid-experiment. Returns
-/// `Ok(false)` if an override is already installed.
-///
-/// # Errors
-///
-/// The first source that fails to build ([`HarnessError::Source`], with
-/// did-you-mean suggestions for registry misses).
-pub fn set_source_override(sources: Vec<scenarios::Source>) -> Result<bool, HarnessError> {
-    for s in &sources {
-        s.build()?;
-    }
-    Ok(SOURCE_OVERRIDE.set(sources).is_ok())
-}
-
-/// The installed source override, if any.
-pub fn source_override() -> Option<&'static [scenarios::Source]> {
-    SOURCE_OVERRIDE.get().map(Vec::as_slice)
-}
-
-/// Scale preset for the experiments.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Scale preset and inputs for the experiments.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Preset {
     /// GPU platform.
     pub gpu: GpuConfig,
@@ -102,58 +52,73 @@ pub struct Preset {
     pub threads: usize,
     /// Whether this is the full paper-scale preset.
     pub full: bool,
+    /// Fault setup every experiment's GPU runs under (`repro --faults`).
+    /// Baselines stay fault-free, so normalized figures show what the
+    /// faults cost. The resilience study ignores the rates (it sweeps its
+    /// own) but adopts the seed.
+    pub faults: Option<FaultSetup>,
+    /// Supervision knobs for the supervision study.
+    pub supervise: SuperviseOverride,
+    /// Workload sources that replace the Table II suite in every suite
+    /// figure (`repro --apps`); set through [`Preset::with_sources`].
+    pub sources: Option<Vec<scenarios::Source>>,
 }
 
 impl Preset {
     /// Full paper scale: 64 CUs, standard workloads.
     pub fn full() -> Self {
-        Preset {
-            gpu: GpuConfig::default(),
-            scale: Scale::Standard,
-            threads: default_threads(),
-            full: true,
-        }
+        Preset { gpu: GpuConfig::default(), scale: Scale::Standard, full: true, ..Self::reduced() }
     }
 
-    /// Reduced scale for quick benchmark runs: 16 CUs, quick workloads.
+    /// Reduced scale for quick runs: 16 CUs, quick workloads.
     pub fn reduced() -> Self {
         Preset {
             gpu: GpuConfig::small(),
             scale: Scale::Quick,
             threads: default_threads(),
             full: false,
+            faults: None,
+            supervise: SuperviseOverride::default(),
+            sources: None,
         }
     }
 
-    /// Reads `PCSTALL_FULL` from the environment (any non-empty value other
-    /// than `0` selects the full preset).
-    pub fn from_env() -> Self {
-        match std::env::var("PCSTALL_FULL") {
-            Ok(v) if !v.is_empty() && v != "0" => Preset::full(),
-            _ => Preset::reduced(),
+    /// Redirects every suite figure at `sources` — registry names, trace
+    /// files or fuzz scenarios. Each source is built once here, so a bad
+    /// trace path or misspelled workload fails up front instead of
+    /// mid-experiment.
+    ///
+    /// # Errors
+    ///
+    /// The first source that fails to build ([`HarnessError::Source`], with
+    /// did-you-mean suggestions for registry misses).
+    pub fn with_sources(self, sources: Vec<scenarios::Source>) -> Result<Self, HarnessError> {
+        for s in &sources {
+            s.build()?;
         }
+        Ok(Preset { sources: Some(sources), ..self })
     }
 
+    /// The paper's run setup on this preset's platform at `epoch_us`.
     fn base_cfg(&self, policy: PolicyKind, epoch_us: u64) -> RunConfig {
         let mut cfg = RunConfig::paper(policy);
         cfg.gpu = self.gpu;
         cfg.power = power::model::PowerConfig::scaled_to(self.gpu.n_cus);
         cfg.epoch = EpochConfig::paper(epoch_us);
-        // `repro --faults` degrades every experiment's GPU; baselines stay
-        // ideal (the cache strips the setup), so normalized figures show
-        // what the faults cost.
-        cfg.faults = fault_override();
+        cfg.faults = self.faults;
         cfg
     }
 
-    fn apps(&self) -> Vec<App> {
-        match source_override() {
-            Some(sources) => sources
-                .iter()
-                .map(|s| s.build().expect("sources are validated when the override is installed"))
-                .collect(),
-            None => suite(self.scale),
+    fn apps(&self) -> Result<Vec<App>, HarnessError> {
+        match &self.sources {
+            Some(sources) => sources.iter().map(|s| Ok(s.build()?)).collect(),
+            None => Ok(suite(self.scale)),
         }
+    }
+
+    /// Builds the named registry workloads at this preset's scale.
+    fn named_apps(&self, names: &[&str]) -> Result<Vec<App>, HarnessError> {
+        names.iter().map(|n| error::app(n, self.scale)).collect()
     }
 }
 
@@ -193,32 +158,77 @@ fn edp_ratio(cell: &SuiteCell, baseline: &SuiteCell) -> f64 {
     cell.result.metrics.edp_vs(&baseline.result.metrics)
 }
 
-/// Runs `policies` (plus the static-1.7 baseline as the last column's
-/// normalizer) over the whole suite at one epoch duration.
+/// Runs `policies` over `apps` at one epoch duration under `objective`,
+/// plus each app's static-1.7 baseline.
 fn grid_with_baseline(
     preset: &Preset,
+    apps: &[App],
     policies: &[PolicyKind],
     epoch_us: u64,
     objective: Objective,
-) -> (Vec<App>, Vec<SuiteCell>, Vec<SuiteCell>) {
-    grid_with_baseline_on(preset, preset.apps(), policies, epoch_us, objective)
-}
-
-fn grid_with_baseline_on(
-    preset: &Preset,
-    apps: Vec<App>,
-    policies: &[PolicyKind],
-    epoch_us: u64,
-    objective: Objective,
-) -> (Vec<App>, Vec<SuiteCell>, Vec<SuiteCell>) {
+) -> (Vec<SuiteCell>, Vec<SuiteCell>) {
     let mut base = preset.base_cfg(PolicyKind::Static(1700), epoch_us);
     base.objective = objective;
-    let cells = run_grid(&apps, policies, &base, preset.threads);
-    // Static baselines are objective-independent, so figures sweeping the
-    // same apps/platform share them through the process-wide cache instead
-    // of re-simulating once per figure.
-    let baselines = global_baseline_cache().baselines(&apps, &base, 1700, preset.threads);
-    (apps, cells, baselines)
+    grid_on(preset, apps, policies, &base, 1700)
+}
+
+/// Runs `policies` over `apps` on `base` (app-major cells) and fetches each
+/// app's static baseline at `static_mhz` on the same platform. Static
+/// baselines are objective-independent, so figures sweeping the same
+/// apps/platform share them through the process-wide cache instead of
+/// re-simulating once per figure.
+fn grid_on(
+    preset: &Preset,
+    apps: &[App],
+    policies: &[PolicyKind],
+    base: &RunConfig,
+    static_mhz: u32,
+) -> (Vec<SuiteCell>, Vec<SuiteCell>) {
+    let cells = run_grid(apps, policies, base, preset.threads);
+    let baselines = global_baseline_cache().baselines(apps, base, static_mhz, preset.threads);
+    (cells, baselines)
+}
+
+/// Turns an app-major grid of `n` policies per app into one column per
+/// policy, mapping each cell with its app's baseline through `f`.
+fn columns<T>(
+    cells: &[SuiteCell],
+    baselines: &[SuiteCell],
+    n: usize,
+    f: impl Fn(&SuiteCell, &SuiteCell) -> T,
+) -> Vec<Vec<T>> {
+    (0..n)
+        .map(|pi| {
+            cells.chunks(n).zip(baselines).map(|(app_cells, b)| f(&app_cells[pi], b)).collect()
+        })
+        .collect()
+}
+
+/// One row per app — its name, then each policy column's value — and a
+/// closing `label` row with each column's `summary`.
+fn app_rows(
+    apps: &[App],
+    cols: &[Vec<f64>],
+    cell: fn(f64) -> String,
+    label: &str,
+    summary: fn(&[f64]) -> f64,
+) -> Vec<Vec<String>> {
+    let row = |name: &str, values: Vec<f64>| {
+        std::iter::once(name.to_string()).chain(values.into_iter().map(cell)).collect()
+    };
+    let mut rows: Vec<Vec<String>> = apps
+        .iter()
+        .enumerate()
+        .map(|(ai, app)| row(&app.name, cols.iter().map(|c| c[ai]).collect()))
+        .collect();
+    rows.push(row(label, cols.iter().map(|c| summary(c)).collect()));
+    rows
+}
+
+/// Mean over the apps whose accuracy is defined (Figures 1b and 14).
+fn mean_finite(values: &[f64]) -> f64 {
+    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    finite.iter().fold(0.0, |a, b| a + b) / finite.len().max(1) as f64
 }
 
 /// The epoch durations (µs) swept by Figures 1 and 17.
@@ -235,13 +245,12 @@ pub fn epoch_sweep_points(preset: &Preset) -> Vec<u64> {
 /// compute/memory spectrum and both categories) at the reduced preset so a
 /// sweep's oracle sampling stays tractable on small machines.
 pub fn sweep_apps(preset: &Preset) -> Result<Vec<App>, HarnessError> {
-    if source_override().is_some() || preset.full {
-        Ok(preset.apps())
+    if preset.sources.is_some() || preset.full {
+        preset.apps()
     } else {
-        ["comd", "hpgmg", "xsbench", "hacc", "quickS", "dgemm", "BwdBN", "FwdPool"]
-            .iter()
-            .map(|n| error::app(n, preset.scale))
-            .collect()
+        preset.named_apps(&[
+            "comd", "hpgmg", "xsbench", "hacc", "quickS", "dgemm", "BwdBN", "FwdPool",
+        ])
     }
 }
 
@@ -254,25 +263,14 @@ pub fn fig01a(preset: &Preset) -> FigureResult {
         PolicyKind::PcStall(PcStallConfig::default()),
         PolicyKind::Oracle,
     ];
+    let apps = sweep_apps(preset)?;
     let mut rows = Vec::new();
     for epoch_us in epoch_sweep_points(preset) {
-        let (_, cells, baselines) = grid_with_baseline_on(
-            preset,
-            sweep_apps(preset)?,
-            &policies,
-            epoch_us,
-            Objective::MinEd2p,
-        );
-        let n = policies.len();
+        let (cells, baselines) =
+            grid_with_baseline(preset, &apps, &policies, epoch_us, Objective::MinEd2p);
         let mut row = vec![format!("{epoch_us}")];
-        for (pi, _) in policies.iter().enumerate() {
-            let ratios: Vec<f64> = cells
-                .chunks(n)
-                .zip(&baselines)
-                .map(|(app_cells, base)| ed2p_ratio(&app_cells[pi], base))
-                .collect();
-            let improvement = 1.0 - geomean(&ratios);
-            row.push(pct(improvement));
+        for ratios in columns(&cells, &baselines, policies.len(), ed2p_ratio) {
+            row.push(pct(1.0 - geomean(&ratios)));
         }
         rows.push(row);
     }
@@ -296,24 +294,14 @@ pub fn fig01b(preset: &Preset) -> FigureResult {
         PolicyKind::AccReac,
         PolicyKind::PcStall(PcStallConfig::default()),
     ];
+    let apps = sweep_apps(preset)?;
     let mut rows = Vec::new();
     for epoch_us in epoch_sweep_points(preset) {
-        let (_, cells, _) = grid_with_baseline_on(
-            preset,
-            sweep_apps(preset)?,
-            &policies,
-            epoch_us,
-            Objective::MinEd2p,
-        );
-        let n = policies.len();
+        let (cells, baselines) =
+            grid_with_baseline(preset, &apps, &policies, epoch_us, Objective::MinEd2p);
         let mut row = vec![format!("{epoch_us}")];
-        for (pi, _) in policies.iter().enumerate() {
-            let accs: Vec<f64> = cells
-                .chunks(n)
-                .map(|app_cells| app_cells[pi].result.accuracy)
-                .filter(|a| a.is_finite())
-                .collect();
-            row.push(pct(accs.iter().sum::<f64>() / accs.len().max(1) as f64));
+        for accs in columns(&cells, &baselines, policies.len(), |c, _| c.result.accuracy) {
+            row.push(pct(mean_finite(&accs)));
         }
         rows.push(row);
     }
@@ -574,28 +562,10 @@ pub fn fig11(preset: &Preset) -> FigureResult {
 /// Figure 14 (and Table III): prediction accuracy of every design at 1 µs.
 pub fn fig14(preset: &Preset) -> FigureResult {
     let policies = PolicyKind::table3();
-    let (apps, cells, _) = grid_with_baseline(preset, &policies, 1, Objective::MinEd2p);
-    let n = policies.len();
-    let mut rows = Vec::new();
-    let mut sums = vec![0.0; n];
-    let mut counts = vec![0usize; n];
-    for (ai, app) in apps.iter().enumerate() {
-        let mut row = vec![app.name.clone()];
-        for pi in 0..n {
-            let acc = cells[ai * n + pi].result.accuracy;
-            if acc.is_finite() {
-                sums[pi] += acc;
-                counts[pi] += 1;
-            }
-            row.push(pct(acc));
-        }
-        rows.push(row);
-    }
-    let mut avg_row = vec!["**average**".to_string()];
-    for pi in 0..n {
-        avg_row.push(pct(sums[pi] / counts[pi].max(1) as f64));
-    }
-    rows.push(avg_row);
+    let apps = preset.apps()?;
+    let (cells, baselines) = grid_with_baseline(preset, &apps, &policies, 1, Objective::MinEd2p);
+    let accs = columns(&cells, &baselines, policies.len(), |c, _| c.result.accuracy);
+    let rows = app_rows(&apps, &accs, pct, "**average**", mean_finite);
     let mut headers = vec!["app".to_string()];
     headers.extend(policies.iter().map(|p| p.name()));
     Ok(FigureOutput {
@@ -619,24 +589,10 @@ pub fn fig15(preset: &Preset) -> FigureResult {
         PolicyKind::AccPc(PcStallConfig::default()),
         PolicyKind::Oracle,
     ];
-    let (apps, cells, baselines) = grid_with_baseline(preset, &policies, 1, Objective::MinEd2p);
-    let n = policies.len();
-    let mut rows = Vec::new();
-    let mut ratios = vec![Vec::new(); n];
-    for (ai, app) in apps.iter().enumerate() {
-        let mut row = vec![app.name.clone()];
-        for pi in 0..n {
-            let r = ed2p_ratio(&cells[ai * n + pi], &baselines[ai]);
-            ratios[pi].push(r);
-            row.push(f3(r));
-        }
-        rows.push(row);
-    }
-    let mut geo = vec!["**geomean**".to_string()];
-    for r in &ratios {
-        geo.push(f3(geomean(r)));
-    }
-    rows.push(geo);
+    let apps = preset.apps()?;
+    let (cells, baselines) = grid_with_baseline(preset, &apps, &policies, 1, Objective::MinEd2p);
+    let ratios = columns(&cells, &baselines, policies.len(), ed2p_ratio);
+    let rows = app_rows(&apps, &ratios, f3, "**geomean**", geomean);
     let mut headers = vec!["app".to_string()];
     headers.extend(policies.iter().map(|p| p.name()));
     Ok(FigureOutput {
@@ -652,7 +608,7 @@ pub fn fig15(preset: &Preset) -> FigureResult {
 
 /// Figure 16: frequency residency per workload under PCSTALL (ED²P, 1 µs).
 pub fn fig16(preset: &Preset) -> FigureResult {
-    let apps = preset.apps();
+    let apps = preset.apps()?;
     let base = preset.base_cfg(PolicyKind::PcStall(PcStallConfig::default()), 1);
     let cells =
         run_grid(&apps, &[PolicyKind::PcStall(PcStallConfig::default())], &base, preset.threads);
@@ -685,23 +641,13 @@ pub fn fig17(preset: &Preset) -> FigureResult {
         PolicyKind::PcStall(PcStallConfig::default()),
         PolicyKind::Oracle,
     ];
+    let apps = sweep_apps(preset)?;
     let mut rows = Vec::new();
     for epoch_us in epoch_sweep_points(preset) {
-        let (_, cells, baselines) = grid_with_baseline_on(
-            preset,
-            sweep_apps(preset)?,
-            &policies,
-            epoch_us,
-            Objective::MinEdp,
-        );
-        let n = policies.len();
+        let (cells, baselines) =
+            grid_with_baseline(preset, &apps, &policies, epoch_us, Objective::MinEdp);
         let mut row = vec![format!("{epoch_us}")];
-        for pi in 0..n {
-            let ratios: Vec<f64> = cells
-                .chunks(n)
-                .zip(&baselines)
-                .map(|(app_cells, base)| edp_ratio(&app_cells[pi], base))
-                .collect();
+        for ratios in columns(&cells, &baselines, policies.len(), edp_ratio) {
             row.push(f3(geomean(&ratios)));
         }
         rows.push(row);
@@ -725,25 +671,18 @@ pub fn fig18a(preset: &Preset) -> FigureResult {
     for limit in [0.05, 0.10] {
         let mut base = preset.base_cfg(PolicyKind::Static(2200), 1);
         base.objective = Objective::EnergyUnderPerfLoss(limit);
-        let cells = run_grid(&apps, &policies, &base, preset.threads);
-        let baselines = global_baseline_cache().baselines(&apps, &base, 2200, preset.threads);
-        let n = policies.len();
+        let (cells, baselines) = grid_on(preset, &apps, &policies, &base, 2200);
         let mut row = vec![pct(limit)];
-        for pi in 0..n {
-            let savings: Vec<f64> = cells
-                .chunks(n)
-                .zip(&baselines)
-                .map(|(app_cells, b)| {
-                    1.0 - app_cells[pi].result.metrics.energy_vs(&b.result.metrics)
-                })
-                .collect();
-            let losses: Vec<f64> = cells
-                .chunks(n)
-                .zip(&baselines)
-                .map(|(app_cells, b)| app_cells[pi].result.metrics.perf_loss_vs(&b.result.metrics))
-                .collect();
-            let avg_savings = savings.iter().sum::<f64>() / savings.len().max(1) as f64;
-            let avg_loss = losses.iter().sum::<f64>() / losses.len().max(1) as f64;
+        let pairs = columns(&cells, &baselines, policies.len(), |c, b| {
+            (
+                1.0 - c.result.metrics.energy_vs(&b.result.metrics),
+                c.result.metrics.perf_loss_vs(&b.result.metrics),
+            )
+        });
+        for col in pairs {
+            let n = col.len().max(1) as f64;
+            let avg_savings = col.iter().map(|p| p.0).sum::<f64>() / n;
+            let avg_loss = col.iter().map(|p| p.1).sum::<f64>() / n;
             row.push(format!("{} (loss {})", pct(avg_savings), pct(avg_loss)));
         }
         rows.push(row);
@@ -774,16 +713,9 @@ pub fn fig18b(preset: &Preset) -> FigureResult {
     for group in groups {
         let mut base = preset.base_cfg(PolicyKind::Static(1700), 1);
         base.group = group;
-        let cells = run_grid(&apps, &policies, &base, preset.threads);
-        let baselines = global_baseline_cache().baselines(&apps, &base, 1700, preset.threads);
-        let n = policies.len();
+        let (cells, baselines) = grid_on(preset, &apps, &policies, &base, 1700);
         let mut row = vec![format!("{group} CU")];
-        for pi in 0..n {
-            let ratios: Vec<f64> = cells
-                .chunks(n)
-                .zip(&baselines)
-                .map(|(app_cells, b)| ed2p_ratio(&app_cells[pi], b))
-                .collect();
+        for ratios in columns(&cells, &baselines, policies.len(), ed2p_ratio) {
             row.push(pct(1.0 - geomean(&ratios)));
         }
         rows.push(row);
@@ -887,6 +819,171 @@ pub fn table2_figure(preset: &Preset) -> FigureResult {
     })
 }
 
+/// Runs `policies` over `apps` on `base` and summarizes each policy as
+/// `[mean accuracy, geomean ED²P vs static 1.7 GHz, mean chip power (W)]`.
+/// Unlike Figures 1b and 14, a non-finite accuracy counts as 0 and every
+/// app is in the mean.
+fn study(
+    preset: &Preset,
+    apps: &[App],
+    policies: &[PolicyKind],
+    base: &RunConfig,
+) -> Vec<[f64; 3]> {
+    let (cells, baselines) = grid_on(preset, apps, policies, base, 1700);
+    let cols = columns(&cells, &baselines, policies.len(), |c, b| {
+        let (acc, m) = (c.result.accuracy, &c.result.metrics);
+        [if acc.is_finite() { acc } else { 0.0 }, ed2p_ratio(c, b), m.energy_j / m.delay_s]
+    });
+    let n = apps.len() as f64;
+    let mean = |col: &[[f64; 3]], i: usize| col.iter().map(|v| v[i]).sum::<f64>() / n;
+    let geo = |col: &[[f64; 3]]| geomean(&col.iter().map(|v| v[1]).collect::<Vec<_>>());
+    cols.iter().map(|col| [mean(col, 0), geo(col), mean(col, 2)]).collect()
+}
+
+/// [`study`] of PCSTALL `variants` over the named apps at 1 µs (ED²P).
+fn ablation(
+    preset: &Preset,
+    names: &[&str],
+    variants: &[PcStallConfig],
+) -> Result<Vec<[f64; 3]>, HarnessError> {
+    let policies: Vec<PolicyKind> = variants.iter().map(|&c| PolicyKind::PcStall(c)).collect();
+    Ok(study(
+        preset,
+        &preset.named_apps(names)?,
+        &policies,
+        &preset.base_cfg(PolicyKind::Static(1700), 1),
+    ))
+}
+
+/// One `[label, mean accuracy]` row per ablation variant.
+fn accuracy_rows(labels: &[String], summary: Vec<[f64; 3]>) -> Vec<Vec<String>> {
+    labels.iter().zip(summary).map(|(label, [acc, ..])| vec![label.clone(), pct(acc)]).collect()
+}
+
+/// Ablation of PCSTALL's design choices (DESIGN.md §4): intrinsic-demand
+/// (age) normalization, the blocked-entry class bit, and barrier-as-async
+/// accounting. Reports prediction accuracy and ED²P vs static 1.7 GHz.
+pub fn ablation_age_norm(preset: &Preset) -> FigureResult {
+    let base = PcStallConfig::default();
+    let mut no_age = base;
+    no_age.wf.age_normalize = false;
+    let mut no_block = base;
+    no_block.blocked_bit = false;
+    let mut no_barrier = base;
+    no_barrier.wf.barrier_as_async = false;
+    let apps = ["comd", "dgemm", "hacc", "BwdBN", "snapc"];
+    let summary = ablation(preset, &apps, &[base, no_age, no_block, no_barrier])?;
+    let labels = [
+        "PCSTALL (default)",
+        "no age normalization",
+        "no blocked-class bit",
+        "barrier time as core",
+    ];
+    let rows = labels
+        .iter()
+        .zip(summary)
+        .map(|(l, [acc, ed2p, _])| vec![l.to_string(), pct(acc), f3(ed2p)])
+        .collect();
+    Ok(FigureOutput {
+        id: "Ablation".into(),
+        title: "PCSTALL design-choice ablation (5 apps, 1 µs, ED²P)".into(),
+        headers: vec!["variant".into(), "mean accuracy".into(), "geomean ED²P vs 1.7".into()],
+        rows,
+        notes: vec![],
+    })
+}
+
+/// Ablation of the PC table's geometry and storage (paper Fig. 11b's
+/// offset tuning, entry count, last-writer vs averaged entries, and the
+/// hardware byte-quantized storage mode).
+pub fn ablation_table(preset: &Preset) -> FigureResult {
+    let base = PcStallConfig::default();
+    let mut variants: Vec<(String, PcStallConfig)> = Vec::new();
+    for entries in [32usize, 128, 512] {
+        let mut c = base;
+        c.table.entries = entries;
+        variants.push((format!("{entries} entries"), c));
+    }
+    for offset in [0u32, 4, 6, 8] {
+        let mut c = base;
+        c.table.offset_bits = offset;
+        variants.push((format!("offset {offset} bits"), c));
+    }
+    let mut overwrite = base;
+    overwrite.table.ewma_alpha = 1.0;
+    variants.push(("overwrite entries (no averaging)".into(), overwrite));
+    let mut quant = base;
+    quant.table.quantize = true;
+    variants.push(("byte-quantized entries".into(), quant));
+    let (labels, variants): (Vec<String>, Vec<PcStallConfig>) = variants.into_iter().unzip();
+    let summary = ablation(preset, &["comd", "dgemm", "hacc"], &variants)?;
+    Ok(FigureOutput {
+        id: "Ablation".into(),
+        title: "PC-table geometry/storage ablation (3 apps, 1 µs)".into(),
+        headers: vec!["variant".into(), "mean accuracy".into()],
+        rows: accuracy_rows(&labels, summary),
+        notes: vec![
+            "Paper: 128 entries and a 4-bit offset suffice; accuracy falls past 4 offset bits."
+                .into(),
+        ],
+    })
+}
+
+/// Ablation of PC-table sharing granularity (paper Fig. 10's 64CU/CU/WF
+/// scopes map to Global/PerDomain/PerCu table instancing).
+pub fn ablation_scope(preset: &Preset) -> FigureResult {
+    let scopes = [TableScope::PerCu, TableScope::PerDomain, TableScope::Global];
+    let variants = scopes.map(|scope| PcStallConfig { scope, ..Default::default() });
+    let summary = ablation(preset, &["comd", "dgemm", "hacc", "xsbench"], &variants)?;
+    let labels = ["per CU (paper design)", "per V/f domain", "one global table"].map(String::from);
+    Ok(FigureOutput {
+        id: "Ablation".into(),
+        title: "PC-table sharing scope (4 apps, 1 µs)".into(),
+        headers: vec!["scope".into(), "mean accuracy".into()],
+        rows: accuracy_rows(&labels, summary),
+        notes: vec![
+            "Paper: sharing beyond a CU costs little accuracy, enabling shared tables.".into()
+        ],
+    })
+}
+
+/// Extension study: designs beyond the paper's Table III — the global
+/// phase-history-table predictor (HIST, paper §2.4's alternative family)
+/// and the §5.4 hierarchical power cap running on top of PCSTALL. The
+/// capped design's baseline runs under the same cap.
+pub fn ext_designs(preset: &Preset) -> FigureResult {
+    let apps = preset.named_apps(&["comd", "dgemm", "hacc", "xsbench", "BwdBN"])?;
+    let pcstall = PolicyKind::PcStall(PcStallConfig::default());
+    let mut base = preset.base_cfg(PolicyKind::Static(1700), 1);
+    let mut summary =
+        study(preset, &apps, &[PolicyKind::History(HistoryConfig::default()), pcstall], &base);
+    // A budget roughly 80% of the reduced chip's typical draw.
+    base.power_cap = Some(PowerCapConfig::new(0.8 * 40.0 * preset.gpu.n_cus as f64 / 64.0 + 20.0));
+    summary.extend(study(preset, &apps, &[pcstall], &base));
+    let labels = ["HIST (phase history)", "PCSTALL", "PCSTALL + power cap"];
+    let rows = labels
+        .iter()
+        .zip(summary)
+        .map(|(l, [acc, ed2p, power])| {
+            vec![l.to_string(), pct(acc), f3(ed2p), format!("{power:.1} W")]
+        })
+        .collect();
+    Ok(FigureOutput {
+        id: "Extension".into(),
+        title: "Beyond Table III: history-table prediction and hierarchical power capping".into(),
+        headers: vec![
+            "design".into(),
+            "mean accuracy".into(),
+            "geomean ED²P vs 1.7".into(),
+            "mean chip power".into(),
+        ],
+        rows,
+        notes: vec![
+            "HIST anticipates repeating patterns but has no insight into *why* behavior changes; the power cap trades ED²P for a firm average-power bound.".into(),
+        ],
+    })
+}
+
 /// The resilience study: energy savings and slowdown versus fault rate for
 /// five designs, measured against the fault-free static 1.7 GHz baseline.
 ///
@@ -906,8 +1003,7 @@ pub fn resilience(preset: &Preset) -> FigureResult {
     } else {
         &["comd", "xsbench", "dgemm", "hacc"]
     };
-    let apps =
-        names.iter().map(|n| error::app(n, preset.scale)).collect::<Result<Vec<App>, _>>()?;
+    let apps = preset.named_apps(names)?;
     let policies: Vec<PolicyKind> = if smoke {
         vec![
             PolicyKind::Reactive(CuEstimator::Stall),
@@ -923,11 +1019,11 @@ pub fn resilience(preset: &Preset) -> FigureResult {
         ]
     };
     let rates: &[f64] = if smoke { &[0.0, 0.20] } else { &[0.0, 0.01, 0.05, 0.20] };
-    let seed = fault_override().map_or(42, |s| s.faults.seed);
+    let seed = preset.faults.map_or(42, |s| s.faults.seed);
     // A storm-shaped `--faults` override (e.g. `--faults storm=0.2,seed=7`)
     // switches the whole sweep to the bursty correlated profile the chaos
     // soak uses; the default stays the independent proportional profile.
-    let profile = fault_override().map_or(faults::FaultProfile::Proportional, |s| {
+    let profile = preset.faults.map_or(faults::FaultProfile::Proportional, |s| {
         if s.faults.storm_period > 0 {
             faults::FaultProfile::Storm
         } else {
@@ -938,8 +1034,7 @@ pub fn resilience(preset: &Preset) -> FigureResult {
     base.objective = Objective::MinEd2p;
     let curves = resilience_sweep(&apps, &policies, &base, rates, seed, profile, preset.threads);
 
-    let json_path = results_path("resilience.json");
-    write_atomic(&json_path, &curves.to_json()).map_err(|e| error::io_at(&json_path, e))?;
+    let json_path = archive_json("resilience.json", &curves.to_json())?;
 
     let mut rows = Vec::new();
     for (ri, &rate) in curves.rates.iter().enumerate() {
@@ -968,7 +1063,7 @@ pub fn resilience(preset: &Preset) -> FigureResult {
                  degradation ladder hold→STALL→safe-max attached to every design.",
                 profile.name()
             ),
-            format!("Raw curves archived at {}.", json_path.display()),
+            format!("Raw curves archived at {json_path}."),
             "Cells read: savings (perf loss, fallback epochs engaged). Savings should \
              degrade smoothly — not cliff — as the fault rate rises."
                 .into(),
@@ -986,7 +1081,7 @@ pub fn resilience(preset: &Preset) -> FigureResult {
 /// The raw points are archived as `results/supervision.json` through the
 /// atomic writer. `PCSTALL_BENCH_SMOKE=1` shrinks the sweep to 2 apps ×
 /// 2 policies × 2 rates for CI. `repro --deadline`/`--max-retries`
-/// override the supervision knobs via [`set_supervise_override`].
+/// override the supervision knobs through [`Preset::supervise`].
 pub fn supervision(preset: &Preset) -> FigureResult {
     use crate::studies::supervision_sweep;
     use crate::supervised::SuperviseConfig;
@@ -994,8 +1089,7 @@ pub fn supervision(preset: &Preset) -> FigureResult {
     let smoke = matches!(std::env::var("PCSTALL_BENCH_SMOKE"), Ok(v) if !v.is_empty() && v != "0");
     let names: &[&str] =
         if smoke { &["comd", "xsbench"] } else { &["comd", "xsbench", "dgemm", "hacc"] };
-    let apps =
-        names.iter().map(|n| error::app(n, preset.scale)).collect::<Result<Vec<App>, _>>()?;
+    let apps = preset.named_apps(names)?;
     let policies: Vec<PolicyKind> = if smoke {
         vec![PolicyKind::Static(1700), PolicyKind::PcStall(PcStallConfig::default())]
     } else {
@@ -1006,22 +1100,21 @@ pub fn supervision(preset: &Preset) -> FigureResult {
         ]
     };
     let rates: &[f64] = if smoke { &[0.0, 0.20] } else { &[0.0, 0.01, 0.05, 0.20] };
-    let over = supervise_override().unwrap_or_default();
+    let over = preset.supervise;
     // Seed 97 arms hang events at both the smoke and full grid sizes
     // (seeded channel draws are deterministic, so an unlucky seed would
     // demonstrate nothing at low rates).
     let scfg = SuperviseConfig {
         deadline: Some(std::time::Duration::from_millis(over.deadline_ms.unwrap_or(5_000))),
         max_retries: over.max_retries.unwrap_or(3),
-        seed: fault_override().map_or(97, |s| s.faults.seed),
+        seed: preset.faults.map_or(97, |s| s.faults.seed),
         ..SuperviseConfig::default()
     };
     let mut base = preset.base_cfg(PolicyKind::Static(1700), 1);
     base.objective = Objective::MinEd2p;
     let curves = supervision_sweep(&apps, &policies, &base, rates, &scfg, preset.threads);
 
-    let json_path = results_path("supervision.json");
-    write_atomic(&json_path, &curves.to_json()).map_err(|e| error::io_at(&json_path, e))?;
+    let json_path = archive_json("supervision.json", &curves.to_json())?;
 
     let n_cells = (apps.len() * policies.len()) as u64;
     let rows = curves
@@ -1064,7 +1157,7 @@ pub fn supervision(preset: &Preset) -> FigureResult {
                 scfg.breaker_k,
                 scfg.seed
             ),
-            format!("Raw points archived at {}.", json_path.display()),
+            format!("Raw points archived at {json_path}."),
             "`survivors clean` pins the integrity invariant: every completed cell is \
              bit-identical to the same cell of a chaos-free, unsupervised grid."
                 .into(),
@@ -1089,8 +1182,7 @@ pub fn fuzz_with(seed: u64, count: u64, threads: usize) -> FigureResult {
         &scenarios::PropertyConfig::default(),
         threads,
     );
-    let json_path = results_path("fuzz.json");
-    write_atomic(&json_path, &study.to_json()).map_err(|e| error::io_at(&json_path, e))?;
+    let json_path = archive_json("fuzz.json", &study.to_json())?;
     let rows = study
         .scenarios
         .iter()
@@ -1120,7 +1212,7 @@ pub fn fuzz_with(seed: u64, count: u64, threads: usize) -> FigureResult {
                 seed,
                 study.total_violations()
             ),
-            format!("Raw outcomes archived at {}.", json_path.display()),
+            format!("Raw outcomes archived at {json_path}."),
             "Every scenario is reproducible: `repro fuzz --seed S --count N` regenerates \
              the stream bit-identically at any thread count."
                 .into(),
@@ -1128,13 +1220,13 @@ pub fn fuzz_with(seed: u64, count: u64, threads: usize) -> FigureResult {
     })
 }
 
-/// Where the harness archives non-tabular artifacts (repo-root `results/`).
-fn results_path(name: &str) -> std::path::PathBuf {
-    // CARGO_MANIFEST_DIR = crates/harness; results live at the repo root.
-    let mut p = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.join("results").join(name)
+/// Archives a raw study artifact as `results/<name>` through the atomic
+/// writer and returns that repo-relative path for the figure's notes, so
+/// the rendered figure does not depend on where the checkout lives.
+fn archive_json(name: &str, json: &str) -> Result<String, HarnessError> {
+    let path = results_dir().join(name);
+    write_atomic(&path, json).map_err(|e| error::io_at(&path, e))?;
+    Ok(format!("results/{name}"))
 }
 
 #[cfg(test)]
@@ -1142,7 +1234,7 @@ mod tests {
     use super::*;
 
     fn tiny_preset() -> Preset {
-        Preset { gpu: GpuConfig::tiny(), scale: Scale::Quick, threads: 4, full: false }
+        Preset { gpu: GpuConfig::tiny(), threads: 4, ..Preset::reduced() }
     }
 
     #[test]
@@ -1163,11 +1255,20 @@ mod tests {
     }
 
     #[test]
-    fn preset_from_env_defaults_reduced() {
-        // Note: assumes PCSTALL_FULL unset in the test environment.
-        if std::env::var("PCSTALL_FULL").is_err() {
-            assert!(!Preset::from_env().full);
-        }
+    fn ablation_and_extension_studies_run_at_tiny_scale() {
+        let p = tiny_preset();
+        assert_eq!(ablation_age_norm(&p).unwrap().rows.len(), 4);
+        assert_eq!(ablation_table(&p).unwrap().rows.len(), 9);
+        assert_eq!(ablation_scope(&p).unwrap().rows.len(), 3);
+        let ext = ext_designs(&p).unwrap();
+        assert_eq!(ext.rows.len(), 3);
+        assert!(ext.rows.iter().all(|r| r[3].ends_with(" W")));
+    }
+
+    #[test]
+    fn bad_source_fails_when_the_preset_is_built() {
+        let missing = scenarios::Source::TraceFile { path: "no/such/trace.pckt".into() };
+        assert!(Preset::reduced().with_sources(vec![missing]).is_err());
     }
 
     #[test]

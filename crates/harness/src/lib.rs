@@ -19,9 +19,11 @@
 //! * [`snapcache`] — the content-addressed warmup snapshot store: warmup
 //!   prefixes are restored from versioned binary snapshots instead of
 //!   re-simulated.
-//! * [`figures`] — one entry point per paper figure/table, scale-controlled
-//!   by `PCSTALL_FULL`.
-//! * [`report`] — markdown/CSV rendering via the crash-safe atomic writer;
+//! * [`figures`] — one entry point per paper figure/table and per
+//!   ablation/extension study, each reading only a [`figures::Preset`]
+//!   (`repro run <id>` runs and archives them).
+//! * [`report`] — markdown/CSV rendering via the crash-safe atomic writer
+//!   into [`report::results_dir`];
 //!   [`ascii`] — terminal charts.
 //! * [`agreement`] — decision-agreement analysis against the oracle.
 //! * [`error`] — typed [`error::HarnessError`]s every figure entry point
@@ -29,7 +31,7 @@
 //!
 //! ```no_run
 //! use harness::figures::{fig14, Preset};
-//! let out = fig14(&Preset::from_env()).expect("figure assembled");
+//! let out = fig14(&Preset::reduced()).expect("figure assembled");
 //! println!("{}", out.render());
 //! ```
 

@@ -1,10 +1,21 @@
-//! Table rendering helpers for the figure benches and EXPERIMENTS.md, and
-//! the crash-safe results writer every `results/` artifact goes through.
+//! Table rendering helpers for the figures and EXPERIMENTS.md, and the
+//! crash-safe results writer every `results/` artifact goes through.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// The repo-root `results/` directory every figure, study and self-timed
+/// bench archives into (anchored to the crate manifest, not the working
+/// directory).
+pub fn results_dir() -> PathBuf {
+    // CARGO_MANIFEST_DIR = crates/harness; results live at the repo root.
+    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    p.pop();
+    p.pop();
+    p.join("results")
+}
 
 /// Writes `contents` to `path` atomically: the bytes go to a temporary
 /// sibling file first and are renamed into place only once fully written,

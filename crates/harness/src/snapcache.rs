@@ -38,10 +38,7 @@ static STORE: OnceLock<Mutex<SnapshotStore>> = OnceLock::new();
 /// root (anchored to the crate manifest, not the working directory, so
 /// tests, benches and the CLI all share one cache).
 pub fn default_dir() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.join("results").join(".snapcache")
+    crate::report::results_dir().join(".snapcache")
 }
 
 /// Points the process-global warmup store at `dir` (`None` = memory-only,

@@ -190,3 +190,16 @@ fn whole_suite_survives_heavy_faults() {
         assert!((res_sum - 1.0).abs() < 1e-9, "{}: residency {res_sum}", app.name);
     }
 }
+
+#[test]
+fn accpc_survives_thermal_clamps() {
+    // A clamp shrinks the legal states for one epoch, so ACCPC's next
+    // table update sees samples over fewer states than it decides over.
+    let mut cfg = tiny_cfg(PolicyKind::AccPc(PcStallConfig::default()), 40);
+    let clamps = FaultConfig::parse("clamp=0.3,seed=5").expect("valid spec");
+    cfg.faults = Some(FaultSetup::with_default_ladder(clamps));
+    let r = run(&by_name("comd", Scale::Quick).unwrap(), &cfg);
+    let clamped = r.fault_report.expect("faulted run reports").counts.clamped_epochs;
+    assert!(clamped > 0, "no clamp fired; the run proves nothing");
+    assert!(r.epochs > 0);
+}

@@ -1,9 +1,10 @@
-//! Command-line driver for the reproduction harness.
+//! The `repro` command line: the one entry point for every experiment of
+//! the reproduction harness.
 //!
 //! ```text
-//! repro list                           list every figure/table experiment
-//! repro run <id> [--full] [--threads N] [--faults SPEC]   run one experiment
-//! repro all [--full] [--threads N] [--faults SPEC]        run every experiment
+//! repro list                           list every experiment id
+//! repro run <id> [--full] [--threads N] [--faults SPEC]   run and archive one
+//! repro all [--full] [--threads N] [--faults SPEC]        run and archive all
 //! repro serve [--tenants N] [--epochs N] [--shards N] [--faults SPEC] ...
 //! repro serve kill-recover [--kill-at E] ...      TCP kill/restart smoke
 //! repro serve --listen ADDR | --connect ADDR [--verify] ...
@@ -19,217 +20,295 @@
 //! repro --list-workloads
 //! ```
 //!
-//! `--full` selects the paper's 64-CU platform at standard workload scale
-//! (equivalent to `PCSTALL_FULL=1`); the default is the reduced 16-CU
-//! preset. `--threads N` sizes the process-global worker pool that grid
-//! sweeps and fork–pre-execute oracle sampling run on (equivalent to
-//! `PCSTALL_THREADS=N`; default: physical parallelism capped at 8).
-//! Results are bit-identical at every thread count.
+//! `run` and `all` print each experiment's table and always archive it as
+//! `results/<stem>.md` and `.csv` (`repro list` shows the stems).
 //!
-//! `--faults SPEC` degrades every experiment's GPU with the seeded
-//! fault-injection layer (telemetry dropout/staleness/noise, dropped and
-//! delayed V/f transitions, transient thermal clamps) and attaches the
-//! default degradation ladder. `SPEC` is comma-separated `key=value`
-//! pairs, e.g. `--faults rate=0.05,seed=7` or
-//! `--faults drop=0.1,noise=0.2,clamp=0.01`; see `faults::FaultConfig`.
-//! Normalization baselines always run fault-free, so normalized figures
-//! show what the faults cost. Outputs are printed and archived under
-//! `results/`.
+//! Every flag is parsed once against one flag table; an unknown `--flag`,
+//! or a value-taking flag with no value, is a usage error. The experiment
+//! flags become the [`Preset`] every figure reads:
 //!
-//! `--deadline MS` and `--max-retries N` tune the supervised executor
-//! (the `supervision` experiment): `--deadline` bounds each grid cell's
-//! wall-clock per attempt (the watchdog cancels a lane past it and the
-//! simulation preempts into a snapshot at the next epoch boundary), and
-//! `--max-retries` caps the deterministic retry rounds for failed or
-//! timed-out cells. Example: `repro run supervision --faults
-//! hang=0.2,seed=7 --deadline 5000 --max-retries 3`.
+//! * `--full`: the paper's 64-CU platform at standard workload scale
+//!   (default: the reduced 16-CU preset).
+//! * `--faults SPEC`: degrade every experiment's GPU with the seeded
+//!   fault-injection layer and the default degradation ladder, e.g.
+//!   `--faults rate=0.05,seed=7` (see `faults::FaultConfig`). Baselines
+//!   always run fault-free, so normalized figures show what faults cost.
+//! * `--deadline MS`, `--max-retries N`: the supervised executor's
+//!   per-attempt watchdog deadline and retry rounds (the `supervision`
+//!   experiment), e.g. `repro run supervision --faults hang=0.2,seed=7
+//!   --deadline 5000 --max-retries 3`.
+//! * `--apps SPEC[,SPEC...]`: run every suite figure on these workload
+//!   sources instead of Table II (e.g. `--apps xsbench,trace:t.pckt,
+//!   fuzz:42:7`), each built up front; `--list-workloads` prints the
+//!   registry.
 //!
-//! `--snapshot-dir DIR` points the content-addressed warmup snapshot
-//! store (and `snapshot` subcommand) at `DIR` instead of the default
-//! `results/.snapcache/`. `--resume` enables per-grid resume journals in
-//! that directory: every completed (workload × design) cell is persisted
-//! as it finishes, and a restarted invocation skips the journaled cells —
-//! the resumed output is bit-identical to an uninterrupted run.
+//! Three flags set process-wide state: `--threads N` sizes the worker pool
+//! (as `PCSTALL_THREADS=N`; results are bit-identical at every count),
+//! `--snapshot-dir DIR` moves the warmup snapshot store from
+//! `results/.snapcache/`, and `--resume` journals every finished grid cell
+//! there so a restarted run skips them, bit-identically.
 //!
-//! The `serve` subcommand runs a bounded chaos soak of the multi-tenant
-//! DVFS policy server (the `serve` crate): seeded synthetic tenants driven
-//! closed-loop through admission, backpressure, the degradation ladder and
-//! the global power-cap arbiter, with `--faults` storms, `--torn` snapshot
-//! reads and an optional `--kill-at` mid-soak restart. It prints the typed
-//! SLO summary (or `--json`) and exits 2 on any SLO violation. Its
-//! transport modes put the same soak on a real TCP wire (the `wire`
-//! crate's PCWR framing): `serve kill-recover` kills and restarts the
-//! socket server mid-soak on a new port and demands a bit-identical
-//! decision digest, while `--listen ADDR` / `--connect ADDR` split the
-//! server and the driving client fleet across two processes (`--verify`
-//! on the connect side recomputes the digest locally and compares).
-//!
-//! The `snapshot` subcommand works with versioned binary simulator
-//! snapshots directly: `save` warms an application up and snapshots the
-//! GPU, `restore` rehydrates one and steps it to prove it is live, `ls`
-//! lists the cache, and `verify` checks a snapshot decodes and round-trips
-//! bit-exactly.
-//!
-//! The `trace` subcommand works with the `scenarios` kernel-trace format:
-//! `record` serializes any workload source (a registry name, `fuzz:S:I`,
-//! or another trace) to a `.pckt` file (`--text` for the line-oriented
-//! form), `run` replays a trace through the PCSTALL harness, `ls`
-//! summarizes trace files, and `verify` proves a trace parses and
-//! round-trips bit-exactly. The `fuzz` subcommand generates `--count`
-//! seeded scenarios and runs every one through the differential property
-//! oracles (energy monotonicity, accounting conservation, snapshot
-//! round-trip), exiting 2 on any violation.
-//!
-//! `--apps SPEC[,SPEC...]` redirects every experiment at the given
-//! workload sources instead of the Table II suite (e.g.
-//! `--apps xsbench,trace:t.pckt,fuzz:42:7`); `--list-workloads` prints
-//! the registry.
+//! `serve` chaos-soaks the multi-tenant policy server, in process or over
+//! TCP (`kill-recover`, `--listen`, `--connect`), exiting 2 on an SLO
+//! violation; `snapshot` saves, restores, lists and verifies simulator
+//! snapshots; `trace` records, replays, lists and verifies PCKT kernel
+//! traces; `fuzz` runs `--count` seeded scenarios through the three
+//! property oracles (energy monotonicity, accounting conservation,
+//! snapshot round-trip), exiting 2 on any violation.
 //!
 //! Exit codes: 0 on success, 1 on usage errors, 2 when an experiment
 //! fails (the typed `HarnessError` is printed to stderr).
 
 use gpu_sim::gpu::Gpu;
-use harness::figures::{self, FigureResult, Preset};
+use harness::error::io_at;
+use harness::figures::{self, FigureResult, Preset, SuperviseOverride};
+use harness::report::{results_dir, write_atomic, write_csv};
 use harness::runner::{FaultSetup, RunConfig};
-use harness::{snapcache, sweeps};
+use harness::{snapcache, sweeps, HarnessError};
 use pcstall::policy::PolicyKind;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Instant;
 
 type FigureFn = fn(&Preset) -> FigureResult;
+type CommandFn = fn(&Cli, &Preset) -> ExitCode;
 
 /// Exit code for a failed experiment (vs 1 for usage errors).
 const EXIT_EXPERIMENT_FAILED: u8 = 2;
 
-/// Every registered experiment: (id, description, entry point).
-fn registry() -> Vec<(&'static str, &'static str, FigureFn)> {
-    vec![
-        ("fig01a", "ED²P improvement vs DVFS epoch duration", figures::fig01a),
-        ("fig01b", "prediction accuracy vs epoch duration", figures::fig01b),
-        ("fig05", "instructions-vs-frequency linearity (comd)", figures::fig05),
-        ("fig06", "sensitivity profiles (dgemm/hacc/BwdBN/xsbench)", figures::fig06),
-        ("fig07", "epoch-to-epoch sensitivity variability", figures::fig07),
-        ("fig08", "per-wavefront contributions (BwdBN)", figures::fig08),
-        ("fig10", "same-PC iteration stability", figures::fig10),
-        ("fig11", "wavefront-slot contention & PC offset tuning", figures::fig11),
-        ("fig14", "prediction accuracy of all Table III designs", figures::fig14),
-        ("fig15", "per-workload ED²P vs static 1.7 GHz", figures::fig15),
-        ("fig16", "frequency residency under PCSTALL", figures::fig16),
-        ("fig17", "geomean EDP vs epoch duration", figures::fig17),
-        ("fig18a", "energy savings under perf-loss limits", figures::fig18a),
-        ("fig18b", "ED²P vs V/f-domain granularity", figures::fig18b),
-        ("table1", "hardware storage overhead per design", figures::table1),
-        ("table2", "the workload suite", figures::table2_figure),
-        ("resilience", "energy/slowdown vs fault rate (degradation ladder)", figures::resilience),
-        ("supervision", "grid completion under injected hang chaos", figures::supervision),
-        ("fuzz", "seeded scenarios through the property oracles", figures::fuzz),
-    ]
+/// Prints `msg` and returns the failed-experiment exit code.
+fn failed(msg: &str) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(EXIT_EXPERIMENT_FAILED)
 }
 
-fn preset(args: &[String]) -> Preset {
-    if args.iter().any(|a| a == "--full") {
-        Preset::full()
-    } else {
-        Preset::from_env()
+/// Prints a usage line and returns the usage-error exit code.
+fn usage(line: &str) -> ExitCode {
+    eprintln!("{line}");
+    ExitCode::FAILURE
+}
+
+const USAGE: &str = "usage: repro <list|run <id>|all|serve|snapshot <save|restore|ls|verify>\
+                     |trace <record|run|ls|verify>|fuzz> [--full] [--threads N] [--faults SPEC] \
+                     [--apps SPEC,...] [--list-workloads] [--deadline MS] [--max-retries N] \
+                     [--snapshot-dir DIR] [--resume]";
+
+/// Every registered experiment: (id, archive stem under `results/`,
+/// description, entry point).
+const EXPERIMENTS: &[(&str, &str, &str, FigureFn)] = &[
+    ("fig01a", "fig01a_ed2p_vs_epoch", "ED²P improvement vs DVFS epoch", figures::fig01a),
+    ("fig01b", "fig01b_accuracy_vs_epoch", "prediction accuracy vs epoch", figures::fig01b),
+    ("fig05", "fig05_linearity", "instructions-vs-frequency linearity", figures::fig05),
+    ("fig06", "fig06_sensitivity_profiles", "sensitivity profiles over time", figures::fig06),
+    ("fig07", "fig07_variability", "epoch-to-epoch sensitivity change", figures::fig07),
+    ("fig08", "fig08_wavefront_contrib", "per-wavefront contributions", figures::fig08),
+    ("fig10", "fig10_pc_iteration_stability", "same-PC iteration stability", figures::fig10),
+    ("fig11", "fig11_slots_and_offsets", "slot contention, PC offsets", figures::fig11),
+    ("fig14", "fig14_accuracy", "accuracy of all Table III designs", figures::fig14),
+    ("fig15", "fig15_ed2p", "per-workload ED²P vs static 1.7 GHz", figures::fig15),
+    ("fig16", "fig16_residency", "frequency residency (PCSTALL)", figures::fig16),
+    ("fig17", "fig17_edp_vs_epoch", "geomean EDP vs epoch duration", figures::fig17),
+    ("fig18a", "fig18a_energy_savings", "energy under perf-loss limits", figures::fig18a),
+    ("fig18b", "fig18b_granularity", "ED²P vs V/f-domain size", figures::fig18b),
+    ("table1", "table1_storage", "hardware storage per design", figures::table1),
+    ("table2", "table2_workloads", "the workload suite", figures::table2_figure),
+    ("ablation_age_norm", "ablation_age_norm", "PCSTALL mechanisms", figures::ablation_age_norm),
+    ("ablation_table", "ablation_table", "PC-table geometry/storage", figures::ablation_table),
+    ("ablation_scope", "ablation_scope", "PC-table sharing scope", figures::ablation_scope),
+    ("ext_designs", "ext_designs", "HIST and power capping", figures::ext_designs),
+    ("resilience", "resilience", "savings vs fault rate", figures::resilience),
+    ("supervision", "supervision", "grids under hang chaos", figures::supervision),
+    ("fuzz", "fuzz", "seeded scenarios, property oracles", figures::fuzz),
+];
+
+/// Every flag `repro` accepts: the ones that take a value, then switches.
+const VALUE_FLAGS: &str = "--faults --deadline --max-retries --apps --threads --snapshot-dir \
+                           --tenants --epochs --shards --max-live --kill-at --torn --seed \
+                           --listen --connect --out --count";
+const SWITCHES: &str = "--full --resume --list-workloads --json --verify --text";
+
+/// A parsed command line: positional arguments in order, plus every flag
+/// (checked against the flag table) with its value.
+struct Cli {
+    positional: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Cli {
+    /// Parses `args`. A value is the next argument unless that starts with
+    /// `--`.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut args = args.into_iter().peekable();
+        let mut cli = Cli { positional: Vec::new(), flags: Vec::new() };
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                cli.positional.push(arg);
+                continue;
+            }
+            let known = |list: &'static str| list.split_whitespace().find(|f| *f == arg);
+            let (name, takes_value) = match (known(VALUE_FLAGS), known(SWITCHES)) {
+                (Some(name), _) => (name, true),
+                (None, Some(name)) => (name, false),
+                (None, None) => return Err(format!("unknown flag `{arg}`")),
+            };
+            let value = if takes_value {
+                let value = args.next_if(|v| !v.starts_with("--"));
+                Some(value.ok_or_else(|| format!("{name} requires a value"))?)
+            } else {
+                None
+            };
+            cli.flags.push((name, value));
+        }
+        Ok(cli)
+    }
+
+    /// The `i`-th positional argument (0 is the subcommand).
+    fn arg(&self, i: usize) -> Option<&str> {
+        self.positional.get(i).map(String::as_str)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(name, _)| *name == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// `flag`'s value parsed as a `T` (`None` if the flag is absent); `what`
+    /// describes a valid value for the error message.
+    fn parsed<T: FromStr>(&self, flag: &str, what: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| format!("{flag} requires {what}")))
+            .transpose()
+    }
+
+    /// [`Cli::parsed`] with a default for an absent flag.
+    fn parsed_or<T: FromStr>(&self, flag: &str, default: T, what: &str) -> Result<T, String> {
+        Ok(self.parsed(flag, what)?.unwrap_or(default))
     }
 }
 
-/// Applies a `--threads N` flag to the process-global worker pool (must
-/// run before anything touches the pool). Returns `Err` on a malformed
-/// flag.
-fn apply_threads_flag(args: &[String]) -> Result<(), String> {
-    let Some(pos) = args.iter().position(|a| a == "--threads") else {
-        return Ok(());
-    };
-    let n: usize = args
-        .get(pos + 1)
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .ok_or("--threads requires a positive integer, e.g. --threads 8")?;
-    if !exec::set_global_threads(n) {
+/// Installs the process-wide state the flags select, before anything
+/// touches it: the `--threads` worker pool, the `--snapshot-dir` warmup
+/// store and the `--resume` journal directory.
+fn install_process_state(cli: &Cli) -> Result<(), String> {
+    let threads =
+        cli.parsed::<NonZeroUsize>("--threads", "a positive integer, e.g. --threads 8")?;
+    if threads.is_some_and(|n| !exec::set_global_threads(n.get())) {
         return Err("worker pool already initialized; pass --threads earlier".into());
     }
-    Ok(())
-}
-
-/// Applies a `--faults SPEC` flag: parses the spec, attaches the default
-/// degradation ladder and installs it as the process-wide fault override.
-fn apply_faults_flag(args: &[String]) -> Result<(), String> {
-    let Some(pos) = args.iter().position(|a| a == "--faults") else {
-        return Ok(());
+    let dir = match cli.value("--snapshot-dir") {
+        Some(d) => {
+            let dir = PathBuf::from(d);
+            if !snapcache::set_dir(Some(dir.clone())) {
+                return Err(
+                    "snapshot store already initialized; pass --snapshot-dir earlier".into()
+                );
+            }
+            dir
+        }
+        None => snapcache::default_dir(),
     };
-    let spec = args
-        .get(pos + 1)
-        .filter(|s| !s.starts_with("--"))
-        .ok_or("--faults requires a spec, e.g. --faults rate=0.05,seed=7")?;
-    let cfg =
-        faults::FaultConfig::parse(spec).map_err(|e| format!("bad --faults spec: {}", e.0))?;
-    if !figures::set_fault_override(FaultSetup::with_default_ladder(cfg)) {
-        return Err("fault override already installed; pass --faults once".into());
-    }
-    Ok(())
-}
-
-/// Applies `--deadline MS` and `--max-retries N`: installs the
-/// process-wide supervision override the `supervision` experiment (and
-/// any supervised grid) picks up.
-fn apply_supervise_flags(args: &[String]) -> Result<(), String> {
-    let deadline_ms = match args.iter().position(|a| a == "--deadline") {
-        None => None,
-        Some(_) => Some(
-            flag_value(args, "--deadline")
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .ok_or("--deadline requires a positive millisecond count, e.g. --deadline 5000")?,
-        ),
-    };
-    let max_retries = match args.iter().position(|a| a == "--max-retries") {
-        None => None,
-        Some(_) => Some(
-            flag_value(args, "--max-retries")
-                .and_then(|v| v.parse::<u32>().ok())
-                .ok_or("--max-retries requires a non-negative integer, e.g. --max-retries 3")?,
-        ),
-    };
-    if deadline_ms.is_none() && max_retries.is_none() {
-        return Ok(());
-    }
-    let over = figures::SuperviseOverride { deadline_ms, max_retries };
-    if !figures::set_supervise_override(over) {
-        return Err(
-            "supervision override already installed; pass --deadline/--max-retries once".into()
-        );
+    if cli.has("--resume") && !sweeps::set_resume_dir(dir) {
+        return Err("resume directory already installed; pass --resume once".into());
     }
     Ok(())
 }
 
-/// Reads the value following `flag`, rejecting a trailing flag as a value.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.get(pos + 1).filter(|s| !s.starts_with("--"))
-}
-
-/// Applies an `--apps SPEC[,SPEC...]` flag: parses each workload source
-/// (registry name, `trace:PATH`, `fuzz:SEED:INDEX`), validates it builds,
-/// and installs the set as the process-wide source override every figure
-/// inherits.
-fn apply_apps_flag(args: &[String]) -> Result<(), String> {
-    if !args.iter().any(|a| a == "--apps") {
-        return Ok(());
+/// The preset every experiment reads: `--full`, `--faults`,
+/// `--deadline`/`--max-retries` and `--apps` (each source built up front).
+fn preset(cli: &Cli) -> Result<Preset, String> {
+    let mut p = if cli.has("--full") { Preset::full() } else { Preset::reduced() };
+    if let Some(spec) = cli.value("--faults") {
+        let cfg =
+            faults::FaultConfig::parse(spec).map_err(|e| format!("bad --faults spec: {}", e.0))?;
+        p.faults = Some(FaultSetup::with_default_ladder(cfg));
     }
-    let specs = flag_value(args, "--apps")
-        .ok_or("--apps requires a comma-separated source list, e.g. --apps xsbench,fuzz:42:7")?;
-    let scale = preset(args).scale;
+    p.supervise = SuperviseOverride {
+        deadline_ms: cli
+            .parsed::<NonZeroU64>(
+                "--deadline",
+                "a positive millisecond count, e.g. --deadline 5000",
+            )?
+            .map(NonZeroU64::get),
+        max_retries: cli.parsed("--max-retries", "a non-negative integer, e.g. --max-retries 3")?,
+    };
+    let Some(specs) = cli.value("--apps") else {
+        return Ok(p);
+    };
     let sources = specs
         .split(',')
-        .map(|s| scenarios::Source::parse(s.trim(), scale))
+        .map(|s| scenarios::Source::parse(s.trim(), p.scale))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| e.to_string())?;
-    match figures::set_source_override(sources) {
-        Ok(true) => Ok(()),
-        Ok(false) => Err("source override already installed; pass --apps once".into()),
-        Err(e) => Err(e.to_string()),
+    p.with_sources(sources).map_err(|e| e.to_string())
+}
+
+/// Runs one experiment, prints its table and archives it as
+/// `results/<stem>.md` and `.csv` through the atomic writer, so an
+/// interrupted run leaves the previous complete file.
+fn run_and_archive(id: &str, stem: &str, f: FigureFn, p: &Preset) -> Result<(), HarnessError> {
+    let t0 = Instant::now();
+    let out = f(p)?;
+    let md = out.render();
+    println!("{md}");
+    let md_path = results_dir().join(format!("{stem}.md"));
+    write_atomic(&md_path, &md).map_err(|e| io_at(&md_path, e))?;
+    let csv_path = results_dir().join(format!("{stem}.csv"));
+    let headers: Vec<&str> = out.headers.iter().map(String::as_str).collect();
+    write_csv(&csv_path, &headers, &out.rows).map_err(|e| io_at(&csv_path, e))?;
+    eprintln!(
+        "[{id}] {:.1}s, archived results/{stem}.md and .csv (preset: {})",
+        t0.elapsed().as_secs_f64(),
+        if p.full { "full 64-CU" } else { "reduced 16-CU; pass --full for the paper platform" },
+    );
+    Ok(())
+}
+
+/// `repro list`.
+fn list_cmd(_: &Cli, _: &Preset) -> ExitCode {
+    println!("available experiments (run with `repro run <id>`; archived as results/<stem>.md):\n");
+    for (id, stem, desc, _) in EXPERIMENTS {
+        println!("  {id:18} {stem:30} {desc}");
     }
+    ExitCode::SUCCESS
+}
+
+/// `repro run <id>`.
+fn run_cmd(cli: &Cli, p: &Preset) -> ExitCode {
+    let Some(id) = cli.arg(1) else {
+        return usage("usage: repro run <id> [--full] [--threads N] [--faults SPEC]");
+    };
+    let Some(&(id, stem, _, f)) = EXPERIMENTS.iter().find(|e| e.0 == id) else {
+        return usage(&format!("unknown experiment `{id}`; see `repro list`"));
+    };
+    match run_and_archive(id, stem, f, p) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => failed(&format!("{id} failed: {e}")),
+    }
+}
+
+/// `repro all`: every experiment in registry order, then the process's
+/// simulator-run and baseline-cache totals.
+fn all_cmd(_: &Cli, p: &Preset) -> ExitCode {
+    for &(id, stem, _, f) in EXPERIMENTS {
+        eprintln!("== {id} ==");
+        if let Err(e) = run_and_archive(id, stem, f, p) {
+            return failed(&format!("{id} failed: {e}"));
+        }
+    }
+    let cache = sweeps::global_baseline_cache();
+    eprintln!(
+        "simulator runs: {} total; baseline cache: {} distinct, {} hits, {} misses",
+        harness::session::sim_runs(),
+        cache.len(),
+        cache.hits(),
+        cache.misses()
+    );
+    ExitCode::SUCCESS
 }
 
 /// The `repro --list-workloads` flag: prints the Table II registry with
@@ -265,27 +344,6 @@ fn list_workloads() {
     println!("\nscales: Quick (tests/benches), Standard (default), Full (--full doubles Standard)");
 }
 
-/// Applies `--snapshot-dir DIR` (points the warmup store and the
-/// `snapshot` subcommand at `DIR`) and `--resume` (enables per-grid
-/// resume journals in that directory).
-fn apply_snapshot_flags(args: &[String]) -> Result<(), String> {
-    let dir = if args.iter().any(|a| a == "--snapshot-dir") {
-        let d = flag_value(args, "--snapshot-dir")
-            .ok_or("--snapshot-dir requires a path, e.g. --snapshot-dir results/.snapcache")?;
-        let dir = PathBuf::from(d);
-        if !snapcache::set_dir(Some(dir.clone())) {
-            return Err("snapshot store already initialized; pass --snapshot-dir earlier".into());
-        }
-        dir
-    } else {
-        snapcache::default_dir()
-    };
-    if args.iter().any(|a| a == "--resume") && !sweeps::set_resume_dir(dir) {
-        return Err("resume directory already installed; pass --resume once".into());
-    }
-    Ok(())
-}
-
 /// A warmup-grade run configuration on the preset's platform (the policy
 /// never engages during warmup, so a static placeholder is exact).
 fn warmup_cfg(p: &Preset) -> RunConfig {
@@ -308,73 +366,55 @@ fn warmup_cfg(p: &Preset) -> RunConfig {
 /// ticked `--epochs` epochs; `--connect ADDR` drives the client fleet
 /// against such a server (give both sides the same flags — the resume
 /// token seed derives from `--seed`).
-fn serve_cmd(args: &[String]) -> ExitCode {
+fn serve_cmd(cli: &Cli, _: &Preset) -> ExitCode {
     const USAGE: &str = "usage: repro serve [kill-recover] [--listen ADDR | --connect ADDR] \
                          [--tenants N] [--epochs N] [--shards N] \
                          [--max-live N] [--kill-at E] [--torn RATE] [--seed N] \
                          [--faults SPEC] [--threads N] [--verify] [--json]";
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(default),
-            Some(_) => flag_value(args, flag)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{flag} requires a non-negative integer")),
+    const INT: &str = "a non-negative integer";
+    let soak = || -> Result<serve::SoakConfig, String> {
+        let defaults = serve::SoakConfig::default();
+        let tenants = cli.parsed_or("--tenants", 64, INT)?.max(1);
+        let torn_read_rate = cli.parsed_or("--torn", defaults.torn_read_rate, "a probability")?;
+        if !(0.0..=1.0).contains(&torn_read_rate) {
+            return Err("--torn requires a probability in [0, 1]".into());
         }
-    };
-    let mut cfg = serve::SoakConfig {
-        tenants: match num("--tenants", 64) {
-            Ok(n) => n.max(1),
-            Err(m) => {
-                eprintln!("{m}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        ..serve::SoakConfig::default()
-    };
-    let flags: Result<(), String> = (|| {
-        cfg.epochs = num("--epochs", 200)?.max(1);
-        cfg.shards = num("--shards", 1)?.max(1) as usize;
-        // Default live cap at 3/4 of the fleet: eviction churn on by
-        // default, so the restore path is exercised, not just compiled.
-        cfg.max_live = num("--max-live", (cfg.tenants * 3 / 4).max(1))? as usize;
-        cfg.kill_at = match args.iter().position(|a| a == "--kill-at") {
-            None => None,
-            Some(_) => Some(
-                flag_value(args, "--kill-at")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--kill-at requires an epoch number")?,
-            ),
+        let faults = match cli.value("--faults") {
+            Some(spec) => faults::FaultConfig::parse(spec)
+                .map_err(|e| format!("bad --faults spec: {}", e.0))?,
+            None => defaults.faults,
         };
-        cfg.seed = num("--seed", 42)?;
-        if args.iter().any(|a| a == "--torn") {
-            cfg.torn_read_rate = flag_value(args, "--torn")
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|r| (0.0..=1.0).contains(r))
-                .ok_or("--torn requires a probability in [0, 1]")?;
-        }
-        if let Some(spec) = flag_value(args, "--faults") {
-            cfg.faults = faults::FaultConfig::parse(spec)
-                .map_err(|e| format!("bad --faults spec: {}", e.0))?;
-        }
-        Ok(())
-    })();
-    if let Err(m) = flags {
-        eprintln!("{m}\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    if args.get(1).map(String::as_str) == Some("kill-recover") {
+        Ok(serve::SoakConfig {
+            tenants,
+            epochs: cli.parsed_or("--epochs", 200, INT)?.max(1),
+            shards: cli.parsed_or("--shards", 1, INT)?.max(1),
+            // Default live cap at 3/4 of the fleet: eviction churn on by
+            // default, so the restore path is exercised, not just compiled.
+            max_live: cli.parsed_or("--max-live", (tenants as usize * 3 / 4).max(1), INT)?,
+            kill_at: cli.parsed("--kill-at", "an epoch number")?,
+            seed: cli.parsed_or("--seed", 42, INT)?,
+            torn_read_rate,
+            faults,
+            ..defaults
+        })
+    };
+    let cfg = match soak() {
+        Ok(cfg) => cfg,
+        Err(m) => return usage(&format!("{m}\n{USAGE}")),
+    };
+    if cli.arg(1) == Some("kill-recover") {
         return serve_kill_recover(&cfg);
     }
-    if let Some(addr) = flag_value(args, "--listen") {
+    if let Some(addr) = cli.value("--listen") {
         return serve_listen(&cfg, addr);
     }
-    if let Some(addr) = flag_value(args, "--connect") {
-        return serve_connect(&cfg, addr, args.iter().any(|a| a == "--verify"));
+    if let Some(addr) = cli.value("--connect") {
+        return serve_connect(&cfg, addr, cli.has("--verify"));
     }
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let report = serve::run_soak(&cfg);
     let secs = t0.elapsed().as_secs_f64();
-    if args.iter().any(|a| a == "--json") {
+    if cli.has("--json") {
         println!("{}", report.to_json());
     } else {
         let s = &report.stats;
@@ -445,10 +485,7 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let fail = |msg: &str| {
-        eprintln!("kill-recover smoke: {msg}");
-        ExitCode::from(EXIT_EXPERIMENT_FAILED)
-    };
+    let fail = |msg: &str| failed(&format!("kill-recover smoke: {msg}"));
     let mut soak = *cfg;
     // Over the wire the kill is the *gateway* kill below, transport and
     // all — not the in-process server restart the plain soak performs.
@@ -463,7 +500,7 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
     );
     let server = match start_wire_server(gw) {
         Ok(s) => s,
-        Err(m) => return fail(&m),
+        Err(m) => return failed(&m),
     };
     let addr = Rc::new(RefCell::new(server.addr()));
     let server = Rc::new(RefCell::new(Some(server)));
@@ -637,10 +674,7 @@ fn serve_connect(cfg: &serve::SoakConfig, addr: &str, verify: bool) -> ExitCode 
             return ExitCode::FAILURE;
         }
     };
-    let fail = |msg: &str| {
-        eprintln!("--connect {addr}: {msg}");
-        ExitCode::from(EXIT_EXPERIMENT_FAILED)
-    };
+    let fail = |msg: &str| failed(&format!("--connect {addr}: {msg}"));
     let t0 = std::time::Instant::now();
     let seed = cfg.seed;
     let drive = wire::drive_soak(
@@ -702,50 +736,39 @@ fn serve_connect(cfg: &serve::SoakConfig, addr: &str, verify: bool) -> ExitCode 
 }
 
 /// The `repro snapshot <save|restore|ls|verify>` subcommand.
-fn snapshot_cmd(args: &[String]) -> ExitCode {
+fn snapshot_cmd(cli: &Cli, p: &Preset) -> ExitCode {
     const USAGE: &str = "usage: repro snapshot <save <app> [--epochs N] [--full] [--out PATH] \
                          | restore <path> [--epochs N] | ls | verify <path>>";
     let epochs = |default: usize| -> Result<usize, String> {
-        match args.iter().position(|a| a == "--epochs") {
-            None => Ok(default),
-            Some(_) => flag_value(args, "--epochs")
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .ok_or_else(|| "--epochs requires a positive integer".to_string()),
-        }
+        let n = cli.parsed::<NonZeroUsize>("--epochs", "a positive integer")?;
+        Ok(n.map_or(default, NonZeroUsize::get))
     };
-    let fail = |msg: &str| {
-        eprintln!("{msg}");
-        ExitCode::from(EXIT_EXPERIMENT_FAILED)
-    };
-    match args.get(1).map(String::as_str) {
+    match cli.arg(1) {
         Some("save") => {
-            let Some(name) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            let Some(name) = cli.arg(2) else {
+                return usage(USAGE);
             };
             let n = match epochs(40) {
                 Ok(n) => n,
-                Err(m) => return fail(&m),
+                Err(m) => return failed(&m),
             };
-            let p = preset(args);
             let app = match harness::error::app(name, p.scale) {
                 Ok(app) => app,
-                Err(e) => return fail(&e.to_string()),
+                Err(e) => return failed(&e.to_string()),
             };
-            let cfg = warmup_cfg(&p);
+            let cfg = warmup_cfg(p);
             // Populate the content-addressed store (so later warm runs hit
             // it) and report where the state landed.
             let gpu = match snapcache::warmed_gpu(&app, &cfg, n) {
                 Ok(gpu) => gpu,
-                Err(e) => return fail(&e.to_string()),
+                Err(e) => return failed(&e.to_string()),
             };
             let bytes = gpu.save_snapshot();
             let key = snapcache::warmup_key(&app, &cfg, n);
-            if let Some(out) = flag_value(args, "--out") {
+            if let Some(out) = cli.value("--out") {
                 let path = PathBuf::from(out);
                 if let Err(e) = harness::report::write_atomic_bytes(&path, &bytes) {
-                    return fail(&format!("cannot write {}: {e}", path.display()));
+                    return failed(&format!("cannot write {}: {e}", path.display()));
                 }
                 println!("wrote {} ({} bytes)", path.display(), bytes.len());
             }
@@ -757,21 +780,20 @@ fn snapshot_cmd(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("restore") => {
-            let Some(path) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            let Some(path) = cli.arg(2) else {
+                return usage(USAGE);
             };
             let n = match epochs(4) {
                 Ok(n) => n,
-                Err(m) => return fail(&m),
+                Err(m) => return failed(&m),
             };
             let bytes = match std::fs::read(path) {
                 Ok(b) => b,
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
+                Err(e) => return failed(&format!("cannot read {path}: {e}")),
             };
             let mut gpu = match Gpu::load_snapshot(&bytes) {
                 Ok(gpu) => gpu,
-                Err(e) => return fail(&format!("cannot decode snapshot {path}: {e}")),
+                Err(e) => return failed(&format!("cannot decode snapshot {path}: {e}")),
             };
             let duration = dvfs::epoch::EpochConfig::default().duration;
             let mut stats = gpu_sim::stats::EpochStats::empty();
@@ -813,25 +835,24 @@ fn snapshot_cmd(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("verify") => {
-            let Some(path) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            let Some(path) = cli.arg(2) else {
+                return usage(USAGE);
             };
             let bytes = match std::fs::read(path) {
                 Ok(b) => b,
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
+                Err(e) => return failed(&format!("cannot read {path}: {e}")),
             };
             let gpu = match Gpu::load_snapshot(&bytes) {
                 Ok(gpu) => gpu,
-                Err(e) => return fail(&format!("{path}: INVALID — {e}")),
+                Err(e) => return failed(&format!("{path}: INVALID — {e}")),
             };
             let round = gpu.save_snapshot();
             if round != bytes {
-                return fail(&format!("{path}: INVALID — decode/encode round trip differs"));
+                return failed(&format!("{path}: INVALID — decode/encode round trip differs"));
             }
             let sections = match snapshot::ContainerReader::parse(&bytes) {
                 Ok(c) => c.section_names().collect::<Vec<_>>().join(", "),
-                Err(e) => return fail(&format!("{path}: INVALID — {e}")),
+                Err(e) => return failed(&format!("{path}: INVALID — {e}")),
             };
             println!(
                 "{path}: OK — {} bytes, sections [{sections}], {} CUs, t = {:.3} us, \
@@ -842,10 +863,7 @@ fn snapshot_cmd(args: &[String]) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        _ => usage(USAGE),
     }
 }
 
@@ -869,42 +887,34 @@ fn trace_summary(path: &str) -> Result<scenarios::trace::TraceInfo, String> {
 }
 
 /// The `repro trace <record|run|ls|verify>` subcommand.
-fn trace_cmd(args: &[String]) -> ExitCode {
+fn trace_cmd(cli: &Cli, p: &Preset) -> ExitCode {
     const USAGE: &str = "usage: repro trace <record <source> [--out PATH] [--text] [--full] \
                          | run <path> [--full] [--threads N] | ls <path>... | verify <path>...>";
-    let fail = |msg: &str| {
-        eprintln!("{msg}");
-        ExitCode::from(EXIT_EXPERIMENT_FAILED)
-    };
-    let paths = |args: &[String]| -> Vec<String> {
-        args.iter().skip(2).filter(|a| !a.starts_with("--")).cloned().collect()
-    };
-    match args.get(1).map(String::as_str) {
+    let paths = cli.positional.get(2..).unwrap_or_default();
+    match cli.arg(1) {
         Some("record") => {
-            let Some(spec) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            let Some(spec) = cli.arg(2) else {
+                return usage(USAGE);
             };
-            let p = preset(args);
             let app = match scenarios::Source::parse(spec, p.scale).and_then(|s| s.build()) {
                 Ok(app) => app,
-                Err(e) => return fail(&e.to_string()),
+                Err(e) => return failed(&e.to_string()),
             };
-            let text = args.iter().any(|a| a == "--text");
+            let text = cli.has("--text");
             let bytes = if text {
                 match scenarios::trace::render_text(&app) {
                     Ok(t) => t.into_bytes(),
-                    Err(e) => return fail(&e.to_string()),
+                    Err(e) => return failed(&e.to_string()),
                 }
             } else {
                 scenarios::trace::record(&app)
             };
             let default_name =
                 format!("{}.pckt{}", app.name.replace('/', "_"), if text { ".txt" } else { "" });
-            let out = flag_value(args, "--out").cloned().unwrap_or(default_name);
+            let out = cli.value("--out").map_or(default_name, str::to_owned);
             let path = PathBuf::from(&out);
             if let Err(e) = harness::report::write_atomic_bytes(&path, &bytes) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
+                return failed(&format!("cannot write {}: {e}", path.display()));
             }
             println!(
                 "recorded `{}` to {} ({} bytes, {} kernel(s), {} instrs, {})",
@@ -918,15 +928,13 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => {
-            let Some(path) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            let Some(path) = cli.arg(2) else {
+                return usage(USAGE);
             };
             let app = match scenarios::source::load_trace(std::path::Path::new(path)) {
                 Ok(app) => app,
-                Err(e) => return fail(&e.to_string()),
+                Err(e) => return failed(&e.to_string()),
             };
-            let p = preset(args);
             let mut cfg =
                 RunConfig::paper(PolicyKind::PcStall(pcstall::policy::PcStallConfig::default()));
             cfg.gpu = p.gpu;
@@ -946,18 +954,16 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("ls") => {
-            let files = paths(args);
-            if files.is_empty() {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            if paths.is_empty() {
+                return usage(USAGE);
             }
             let mut code = ExitCode::SUCCESS;
             println!(
                 "  {:>3} {:<24} {:>7} {:>8} {:>10}",
                 "ver", "app", "kernels", "instrs", "bytes"
             );
-            for path in files {
-                match trace_summary(&path) {
+            for path in paths {
+                match trace_summary(path) {
                     Ok(i) => println!(
                         "  {:>3} {:<24} {:>7} {:>8} {:>10}  {path}",
                         i.version, i.app, i.kernels, i.code_len, i.bytes
@@ -971,14 +977,12 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             code
         }
         Some("verify") => {
-            let files = paths(args);
-            if files.is_empty() {
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
+            if paths.is_empty() {
+                return usage(USAGE);
             }
             let mut code = ExitCode::SUCCESS;
-            for path in files {
-                match verify_trace(&path) {
+            for path in paths {
+                match verify_trace(path) {
                     Ok(msg) => println!("{path}: OK — {msg}"),
                     Err(e) => {
                         eprintln!("{path}: INVALID — {e}");
@@ -988,10 +992,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             }
             code
         }
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+        _ => usage(USAGE),
     }
 }
 
@@ -1027,26 +1028,17 @@ fn verify_trace(path: &str) -> Result<String, String> {
     }
 }
 
-/// The `repro fuzz` subcommand: `--count` seeded scenarios through every
-/// property oracle; exits 2 on any violation.
-fn fuzz_cmd(args: &[String]) -> ExitCode {
+/// The `repro fuzz` subcommand: `--count` seeded scenarios through the
+/// three property oracles; exits 2 on any violation.
+fn fuzz_cmd(cli: &Cli, _: &Preset) -> ExitCode {
     const USAGE: &str = "usage: repro fuzz [--count N] [--seed S] [--threads N] [--json]";
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        match args.iter().position(|a| a == flag) {
-            None => Ok(default),
-            Some(_) => flag_value(args, flag)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{flag} requires a non-negative integer")),
-        }
-    };
-    let (count, seed) = match (num("--count", 25), num("--seed", 42)) {
+    const INT: &str = "a non-negative integer";
+    let (count, seed) = match (cli.parsed_or("--count", 25, INT), cli.parsed_or("--seed", 42, INT))
+    {
         (Ok(c), Ok(s)) => (c.max(1), s),
-        (Err(m), _) | (_, Err(m)) => {
-            eprintln!("{m}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        (Err(m), _) | (_, Err(m)) => return usage(&format!("{m}\n{USAGE}")),
     };
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let study = harness::studies::fuzz_property_sweep(
         seed,
         count,
@@ -1054,7 +1046,7 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
         sweeps::default_threads(),
     );
     let secs = t0.elapsed().as_secs_f64();
-    if args.iter().any(|a| a == "--json") {
+    if cli.has("--json") {
         println!("{}", study.to_json());
     } else {
         for s in &study.scenarios {
@@ -1064,8 +1056,8 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
         }
         let instrs: usize = study.scenarios.iter().map(|s| s.code_len).sum();
         println!(
-            "fuzz: {} scenarios from seed {} ({} kernels, {} instrs) through 4 property \
-             oracles in {secs:.2}s: {} violation(s)",
+            "fuzz: {} scenarios from seed {} ({} kernels, {} instrs) through 3 property \
+             oracles (monotonicity, conservation, snapshot) in {secs:.2}s: {} violation(s)",
             study.scenarios.len(),
             seed,
             study.scenarios.iter().map(|s| s.kernels).sum::<usize>(),
@@ -1081,97 +1073,32 @@ fn fuzz_cmd(args: &[String]) -> ExitCode {
     }
 }
 
+/// The subcommand table.
+const COMMANDS: &[(&str, CommandFn)] = &[
+    ("list", list_cmd),
+    ("run", run_cmd),
+    ("all", all_cmd),
+    ("serve", serve_cmd),
+    ("snapshot", snapshot_cmd),
+    ("trace", trace_cmd),
+    ("fuzz", fuzz_cmd),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = apply_threads_flag(&args) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = apply_faults_flag(&args) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = apply_snapshot_flags(&args) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = apply_supervise_flags(&args) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = apply_apps_flag(&args) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
-    if args.iter().any(|a| a == "--list-workloads") {
+    let cli = match Cli::parse(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(msg) => return usage(&format!("{msg}\n{USAGE}")),
+    };
+    let preset = match install_process_state(&cli).and_then(|()| preset(&cli)) {
+        Ok(p) => p,
+        Err(msg) => return usage(&msg),
+    };
+    if cli.has("--list-workloads") {
         list_workloads();
         return ExitCode::SUCCESS;
     }
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            println!("available experiments (run with `repro run <id>`):\n");
-            for (id, desc, _) in registry() {
-                println!("  {id:10} {desc}");
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => {
-            let Some(id) = args.get(1) else {
-                eprintln!("usage: repro run <id> [--full] [--threads N] [--faults SPEC]");
-                return ExitCode::FAILURE;
-            };
-            let Some((_name, _, f)) = registry().into_iter().find(|(n, _, _)| n == id) else {
-                eprintln!("unknown experiment `{id}`; see `repro list`");
-                return ExitCode::FAILURE;
-            };
-            let p = preset(&args);
-            match f(&p) {
-                Ok(out) => println!("{}", out.render()),
-                Err(e) => {
-                    eprintln!("{id} failed: {e}");
-                    return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-                }
-            }
-            println!(
-                "(preset: {}; pass --full for the 64-CU paper platform)",
-                if p.full { "full" } else { "reduced" }
-            );
-            ExitCode::SUCCESS
-        }
-        Some("all") => {
-            let p = preset(&args);
-            for (id, _, f) in registry() {
-                eprintln!("== {id} ==");
-                match f(&p) {
-                    Ok(out) => println!("{}", out.render()),
-                    Err(e) => {
-                        eprintln!("{id} failed: {e}");
-                        return ExitCode::from(EXIT_EXPERIMENT_FAILED);
-                    }
-                }
-            }
-            let cache = harness::sweeps::global_baseline_cache();
-            eprintln!(
-                "simulator runs: {} total; baseline cache: {} distinct, {} hits, {} misses",
-                harness::session::sim_runs(),
-                cache.len(),
-                cache.hits(),
-                cache.misses()
-            );
-            ExitCode::SUCCESS
-        }
-        Some("snapshot") => snapshot_cmd(&args),
-        Some("serve") => serve_cmd(&args),
-        Some("trace") => trace_cmd(&args),
-        Some("fuzz") => fuzz_cmd(&args),
-        _ => {
-            eprintln!(
-                "usage: repro <list|run <id>|all|serve|snapshot <save|restore|ls|verify>\
-                 |trace <record|run|ls|verify>|fuzz> [--full] [--threads N] [--faults SPEC] \
-                 [--apps SPEC,...] [--list-workloads] [--deadline MS] [--max-retries N] \
-                 [--snapshot-dir DIR] [--resume]"
-            );
-            ExitCode::FAILURE
-        }
+    match COMMANDS.iter().find(|(name, _)| Some(*name) == cli.arg(0)) {
+        Some((_, command)) => command(&cli, &preset),
+        None => usage(USAGE),
     }
 }

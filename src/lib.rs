@@ -27,8 +27,10 @@
 //! assert!(result.epochs > 0);
 //! ```
 //!
-//! See `examples/` for end-to-end scenarios and `crates/bench` for the
-//! per-figure reproduction harness (`cargo bench --bench fig14_accuracy`).
+//! See `examples/` for end-to-end scenarios. Every paper figure, table and
+//! ablation runs through the `repro` binary: `repro list` names them,
+//! `repro run fig14` regenerates one into `results/`, and `repro all` runs
+//! them all.
 
 pub use dvfs;
 pub use gpu_sim;

@@ -25,9 +25,6 @@ PCSTALL_THREADS=1 cargo test -q -p pcstall --test oracle_determinism
 echo "==> oracle determinism @ PCSTALL_THREADS=8"
 PCSTALL_THREADS=8 cargo test -q -p pcstall --test oracle_determinism
 
-echo "==> oracle scaling bench (smoke: one iteration per pool size)"
-PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench oracle_scaling
-
 # Fault-injection determinism at the thread-count extremes: fault decisions
 # hash (seed, epoch, channel, lane) — never thread state — so a faulted
 # grid must be bit-identical on one inline lane and on 8 workers.
@@ -37,8 +34,11 @@ PCSTALL_THREADS=1 cargo test -q -p harness --test resilience_faults
 echo "==> fault injection & degradation ladder @ PCSTALL_THREADS=8"
 PCSTALL_THREADS=8 cargo test -q -p harness --test resilience_faults
 
+# The smoke grid is what results/resilience.* archive, so it must
+# regenerate them byte-identically (~2.5 s).
 echo "==> resilience smoke via the CLI (2 apps x 2 policies x 2 fault rates)"
 PCSTALL_BENCH_SMOKE=1 cargo run -q --release --bin repro -- run resilience
+git diff --exit-code -- results/resilience.md results/resilience.csv results/resilience.json
 
 # Checkpoint/restore determinism at the thread-count extremes: restored
 # warmup prefixes and resumed sweeps must be bit-identical to cold runs
@@ -83,17 +83,6 @@ echo "==> gpu-sim suite digest (diff against suite_digest.expected)"
 cargo run -q --release -p gpu-sim --example suite_digest \
   | diff crates/gpu-sim/examples/suite_digest.expected -
 
-# The parsim smoke re-measures the lulesh baseline probe and fails if it
-# regressed >10% vs the committed BENCH_parsim.json.
-echo "==> parsim smoke bench (lulesh baseline-probe regression gate)"
-PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench parsim
-
-# The hotpath smoke re-measures the compute-bound probe set and
-# fails if any median regressed >10% (PCSTALL_HOTPATH_TOL) vs the
-# committed BENCH_hotpath.json: the epochs/sec trajectory only moves up.
-echo "==> hotpath smoke bench (epochs/sec regression gate)"
-PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench hotpath
-
 # Policy-server determinism at the thread-count extremes: the chaos soak
 # (20%-intensity fault storm, hung tenants, torn restore reads, mid-soak
 # kill/recover) pins zero tenants lost, zero missed cap epochs, and
@@ -109,9 +98,6 @@ PCSTALL_THREADS=8 cargo test -q -p serve --test chaos_soak --test evict_restore
 echo "==> policy-server soak via the CLI (storm + torn reads + kill/recover)"
 cargo run -q --release --bin repro -- serve --tenants 32 --epochs 60 --shards 2 \
   --faults storm=0.2,seed=9,hang=0.25 --torn 0.25 --kill-at 31
-
-echo "==> server smoke bench (decisions/sec + p99 epoch latency)"
-PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench server
 
 # Scenario-frontend determinism at the thread-count extremes: fuzz apps
 # hash (seed, index, counter) — never thread state — so generation and
@@ -163,7 +149,12 @@ echo "==> wire kill/recover smoke via the CLI (TCP restart on a new port)"
 cargo run -q --release --bin repro -- serve kill-recover --tenants 12 --epochs 30 \
   --max-live 9 --kill-at 15 --seed 7
 
-echo "==> wire smoke bench (frame codec + TCP loopback decisions/sec)"
-PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench wire
+# Speed gate: perfbench built from the parent (HEAD, or HEAD~1 on a clean
+# tree) and from this tree, run in alternating same-seed pairs on this
+# host. Fails if sim-pcstall epochs/s drops >10% or serve-tcp decisions/s
+# >25% in the median pair ratio, or if the pairs' quartile spread stays
+# wider than the bound (UNRESOLVED). Leaves the checkout untouched.
+echo "==> perfbench A/B speed gate against the parent commit"
+python3 perfgate.py
 
 echo "CI OK"

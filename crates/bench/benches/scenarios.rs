@@ -31,7 +31,7 @@ fn round_ms(rounds: usize, mut f: impl FnMut()) -> bench::RepStats {
 }
 
 fn main() {
-    let smoke = std::env::var("PCSTALL_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = bench::smoke();
     let rounds = if smoke { 1 } else { 5 };
     let codec_iters: usize = if smoke { 2 } else { 20 };
     let fuzz_count: u64 = if smoke { 8 } else { 64 };
@@ -89,26 +89,16 @@ fn main() {
          scenarios/s"
     );
 
-    if smoke {
-        // Smoke is a does-the-loop-run gate; the committed full-run
-        // numbers stay as they are.
-        println!("[scenarios] smoke OK (committed BENCH_scenarios.json untouched)");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"scenarios\",\n  \"workload\": \"suite-quick + fuzz/tiny\",\n  \
-         \"smoke\": {smoke},\n  \"suite_apps\": {},\n  \"trace_bytes\": {total_bytes},\n  \
-         \"record_mb_per_s\": {record_mb_s:.1},\n  \"parse_mb_per_s\": {parse_mb_s:.1},\n  \
-         \"fuzz_apps_per_s\": {gen_per_s:.1},\n  \"oracle_scenarios_per_s\": {oracle_per_s:.2},\n  \
-         {},\n  {},\n  {},\n  {}\n}}\n",
-        suite.len(),
-        record_stats.json_fields("record_round_ms"),
-        parse_stats.json_fields("parse_round_ms"),
-        gen_stats.json_fields("fuzz_round_ms"),
-        oracle_stats.json_fields("oracle_round_ms"),
-    );
-    let path = harness::report::results_dir().join("BENCH_scenarios.json");
-    harness::report::write_atomic(&path, &json).expect("write BENCH_scenarios.json");
-    println!("wrote {}", path.display());
+    bench::Report::new("scenarios", "suite-quick + fuzz/tiny")
+        .field("suite_apps", suite.len())
+        .field("trace_bytes", total_bytes)
+        .field("record_mb_per_s", format!("{record_mb_s:.1}"))
+        .field("parse_mb_per_s", format!("{parse_mb_s:.1}"))
+        .field("fuzz_apps_per_s", format!("{gen_per_s:.1}"))
+        .field("oracle_scenarios_per_s", format!("{oracle_per_s:.2}"))
+        .stats("record_round_ms", &record_stats)
+        .stats("parse_round_ms", &parse_stats)
+        .stats("fuzz_round_ms", &gen_stats)
+        .stats("oracle_round_ms", &oracle_stats)
+        .write();
 }

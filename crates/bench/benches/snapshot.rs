@@ -59,7 +59,7 @@ fn round_ms(rounds: usize, mut f: impl FnMut()) -> bench::RepStats {
 }
 
 fn main() {
-    let smoke = std::env::var("PCSTALL_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = bench::smoke();
     let rounds = if smoke { 1 } else { 5 };
     let iters: usize = if smoke { 4 } else { 20 };
     let app = workloads::by_name("comd", workloads::Scale::Quick).expect("registered");
@@ -123,26 +123,19 @@ fn main() {
         warm_s * 1e3,
     );
 
-    if smoke {
-        println!("[snapshot] smoke OK (committed BENCH_snapshot.json untouched)");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"snapshot\",\n  \"workload\": \"comd-quick/tiny/1us\",\n  \
-         \"smoke\": {smoke},\n  \"snapshot_bytes\": {},\n  \"save_mb_per_s\": {save_mb_s:.1},\n  \
-         \"restore_mb_per_s\": {restore_mb_s:.1},\n  \"grid_policies\": {},\n  \
-         \"warmup_epochs\": {WARMUP_EPOCHS},\n  \"run_epochs\": {RUN_EPOCHS},\n  \
-         \"cold_s\": {cold_s:.6},\n  \"warm_s\": {warm_s:.6},\n  \
-         \"warm_reuse_speedup\": {speedup:.3},\n  {},\n  {},\n  {},\n  {}\n}}\n",
-        bytes.len(),
-        ps.len(),
-        save_stats.json_fields("save_round_ms"),
-        restore_stats.json_fields("restore_round_ms"),
-        cold_stats.json_fields("cold_ms"),
-        warm_stats.json_fields("warm_ms"),
-    );
-    let path = harness::report::results_dir().join("BENCH_snapshot.json");
-    harness::report::write_atomic(&path, &json).expect("write BENCH_snapshot.json");
-    println!("wrote {}", path.display());
+    bench::Report::new("snapshot", "comd-quick/tiny/1us")
+        .field("snapshot_bytes", bytes.len())
+        .field("save_mb_per_s", format!("{save_mb_s:.1}"))
+        .field("restore_mb_per_s", format!("{restore_mb_s:.1}"))
+        .field("grid_policies", ps.len())
+        .field("warmup_epochs", WARMUP_EPOCHS)
+        .field("run_epochs", RUN_EPOCHS)
+        .field("cold_s", format!("{cold_s:.6}"))
+        .field("warm_s", format!("{warm_s:.6}"))
+        .field("warm_reuse_speedup", format!("{speedup:.3}"))
+        .stats("save_round_ms", &save_stats)
+        .stats("restore_round_ms", &restore_stats)
+        .stats("cold_ms", &cold_stats)
+        .stats("warm_ms", &warm_stats)
+        .write();
 }

@@ -20,7 +20,7 @@ use pcstall::policy::PolicyKind;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let smoke = std::env::var("PCSTALL_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = bench::smoke();
     let rates: &[f64] = if smoke { &[0.0, 0.20] } else { &[0.0, 0.01, 0.05, 0.20] };
     let app_names: &[&str] =
         if smoke { &["comd", "xsbench"] } else { &["comd", "xsbench", "dgemm", "hacc"] };
@@ -96,21 +96,11 @@ fn main() {
         ));
     }
 
-    if smoke {
-        println!("[supervision] smoke OK (committed BENCH_supervision.json untouched)");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"supervision\",\n  \"workload\": \"quick/tiny/1us\",\n  \
-         \"smoke\": {smoke},\n  \"grid_cells\": {n_cells},\n  \"deadline_ms\": {},\n  \
-         \"max_retries\": {},\n  \"seed\": {},\n  \"points\": [\n    {}\n  ]\n}}\n",
-        scfg.deadline.map_or(0, |d| d.as_millis()),
-        scfg.max_retries,
-        scfg.seed,
-        points.join(",\n    "),
-    );
-    let path = harness::report::results_dir().join("BENCH_supervision.json");
-    harness::report::write_atomic(&path, &json).expect("write BENCH_supervision.json");
-    println!("wrote {}", path.display());
+    bench::Report::new("supervision", "quick/tiny/1us")
+        .field("grid_cells", n_cells)
+        .field("deadline_ms", scfg.deadline.map_or(0, |d| d.as_millis()))
+        .field("max_retries", scfg.max_retries)
+        .field("seed", scfg.seed)
+        .field("points", format!("[\n    {}\n  ]", points.join(",\n    ")))
+        .write();
 }

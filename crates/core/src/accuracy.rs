@@ -5,8 +5,6 @@
 //! number that *actually* committed. It is power-model-agnostic: it scores
 //! only the prediction mechanism.
 
-use serde::{Deserialize, Serialize};
-
 /// Accuracy of one prediction: `1 - |pred - actual| / actual`, clamped to
 /// `[0, 1]`. Epochs with no actual work are not scored.
 pub fn prediction_accuracy(predicted: f64, actual: f64) -> Option<f64> {
@@ -17,7 +15,7 @@ pub fn prediction_accuracy(predicted: f64, actual: f64) -> Option<f64> {
 }
 
 /// Streaming mean of per-epoch, per-domain prediction accuracies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccuracyMeter {
     sum: f64,
     count: u64,

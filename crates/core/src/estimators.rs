@@ -25,10 +25,9 @@
 use crate::sensitivity::FreqResponse;
 use gpu_sim::stats::{CuEpochStats, WfEpochStats};
 use gpu_sim::time::Femtos;
-use serde::{Deserialize, Serialize};
 
 /// The CU-level estimation models evaluated as reactive baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CuEstimator {
     /// Stall model [Keramidas et al.].
     Stall,
@@ -100,7 +99,7 @@ impl CuEstimator {
 
 /// Configuration of the wavefront-level STALL estimator (PCSTALL's
 /// estimation half, Section 4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WfStallConfig {
     /// Whether to normalize for scheduling contention ("the estimated
     /// sensitivity is further normalized depending on the relative age of
@@ -126,7 +125,7 @@ impl Default for WfStallConfig {
 }
 
 /// Wavefront-level STALL estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WfStallEstimator {
     /// Estimator options.
     pub cfg: WfStallConfig,

@@ -11,10 +11,9 @@
 //! aperiodic or wavefront-driven variation defeats it.
 
 use crate::sensitivity::LinearModel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a global phase-history table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryConfig {
     /// Number of table entries (power of two).
     pub entries: usize,
@@ -32,7 +31,7 @@ impl Default for HistoryConfig {
 }
 
 /// A per-domain global phase-history table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryTable {
     cfg: HistoryConfig,
     /// Recent quantized observations, most recent last.

@@ -12,10 +12,9 @@
 
 use crate::sensitivity::LinearModel;
 use gpu_sim::isa::Pc;
-use serde::{Deserialize, Serialize};
 
 /// Geometry and storage options of a PC table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcTableConfig {
     /// Number of entries (power of two; paper: 128).
     pub entries: usize,
@@ -68,7 +67,7 @@ fn quantize(m: LinearModel) -> LinearModel {
 /// assert!(t.lookup(0x40).is_some());
 /// assert!(t.lookup(0x4000).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcTable {
     cfg: PcTableConfig,
     entries: Vec<Option<LinearModel>>,

@@ -30,7 +30,6 @@ use gpu_sim::gpu::Gpu;
 use gpu_sim::stats::EpochStats;
 use gpu_sim::time::Frequency;
 use power::model::PowerModel;
-use serde::{Deserialize, Serialize};
 
 /// The delivery state of the elapsed epoch's telemetry.
 ///
@@ -201,7 +200,7 @@ where
 // ---------------------------------------------------------------------------
 
 /// Runs every domain at a fixed frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticPolicy {
     /// The fixed frequency.
     pub freq: Frequency,
@@ -232,7 +231,7 @@ impl DvfsPolicy for StaticPolicy {
 // ---------------------------------------------------------------------------
 
 /// Last-value reactive control on top of a CU-level estimation model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReactivePolicy {
     /// The CU-level estimation model.
     pub estimator: CuEstimator,
@@ -403,7 +402,7 @@ impl DvfsPolicy for OraclePolicy {
 
 /// Where PC tables are instantiated (the paper notes the table "could
 /// either be instantiated one per CU or shared among many CUs").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableScope {
     /// One table per CU (default).
     PerCu,
@@ -414,7 +413,7 @@ pub enum TableScope {
 }
 
 /// Configuration of the PCSTALL design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcStallConfig {
     /// PC-table geometry.
     pub table: PcTableConfig,
@@ -689,7 +688,7 @@ impl DvfsPolicy for AccPcPolicy {
 // ---------------------------------------------------------------------------
 
 /// A buildable description of every evaluated design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// Static frequency baseline.
     Static(u32),

@@ -31,10 +31,9 @@ use crate::estimators::CuEstimator;
 use crate::policy::{DecideCtx, Decision, DvfsPolicy, ReactivePolicy, Telemetry};
 use gpu_sim::stats::EpochStats;
 use gpu_sim::time::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// Ladder depth configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FallbackConfig {
     /// Blind epochs to ride out by repeating the last decisions.
     pub hold_epochs: u32,
@@ -52,7 +51,7 @@ impl Default for FallbackConfig {
 }
 
 /// How many epochs a run spent on each rung of the ladder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FallbackCounts {
     /// Epochs decided normally by the wrapped design.
     pub normal: u64,

@@ -14,12 +14,11 @@
 //! what makes wavefront-level prediction aggregate soundly (Section 4.2).
 
 use gpu_sim::time::Frequency;
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::Add;
 
 /// The linear epoch-performance model `I(f) = i0 + s * f_mhz`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinearModel {
     /// Frequency-independent instruction count (memory-bound work).
     pub i0: f64,
@@ -116,7 +115,7 @@ pub fn fit_line(points: &[(f64, f64)]) -> (LinearModel, f64) {
 ///
 /// The classic time-dilation identity `T(f) = T_async + T_core * f_obs/f`
 /// then predicts the instruction *rate* at any other frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreqResponse {
     /// Instructions committed in the elapsed epoch.
     pub i_obs: f64,

@@ -1,7 +1,5 @@
 //! V/f domain partitioning of the GPU's compute units.
 
-use serde::{Deserialize, Serialize};
-
 /// A partition of CU ids into V/f domains.
 ///
 /// The paper's headline configuration is one CU per domain; Section 6.5
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.cus(1), &[4, 5, 6, 7]);
 /// assert_eq!(m.domain_of(5), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainMap {
     domains: Vec<Vec<usize>>,
     owner: Vec<usize>,

@@ -1,7 +1,6 @@
 //! Fixed-time DVFS epochs and the transition-latency model.
 
 use gpu_sim::time::Femtos;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the fixed-time DVFS epoch.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// length — 4 ns at 1 µs epochs, 40 ns at 10 µs, 200 ns at 50 µs and 400 ns
 /// at 100 µs — i.e. `latency = 4 ns × epoch_µs`, reflecting that slower
 /// (coarser) DVFS deployments use slower regulators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
     /// Epoch duration.
     pub duration: Femtos,

@@ -10,10 +10,9 @@
 
 use crate::states::FreqStates;
 use gpu_sim::time::Femtos;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the chip-level power-cap manager.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCapConfig {
     /// Average-power budget in watts.
     pub budget_w: f64,
@@ -41,7 +40,7 @@ impl PowerCapConfig {
 }
 
 /// What the manager did at an interval boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CapAction {
     /// No interval boundary crossed or no change needed.
     None,
@@ -52,7 +51,7 @@ pub enum CapAction {
 }
 
 /// The chip-level power-cap manager.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerCapManager {
     cfg: PowerCapConfig,
     full: FreqStates,

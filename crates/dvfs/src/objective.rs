@@ -9,10 +9,9 @@ use crate::epoch::EpochConfig;
 use crate::states::FreqStates;
 use gpu_sim::time::Frequency;
 use power::model::PowerModel;
-use serde::{Deserialize, Serialize};
 
 /// The DVFS optimization goal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// Minimize energy–delay product (battery-oriented).
     MinEdp,

@@ -1,7 +1,6 @@
 //! The discrete V/f state set.
 
 use gpu_sim::time::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// The set of selectable frequency states of a V/f domain.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min().mhz(), 1300);
 /// assert_eq!(s.max().mhz(), 2200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreqStates {
     states: Vec<Frequency>,
 }

@@ -28,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 use gpu_sim::stats::EpochStats;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
@@ -124,7 +123,7 @@ fn unit(seed: u64, epoch: u64, chan: u64, lane: u64) -> f64 {
 /// Fault rates and magnitudes. All-zero (the [`Default`]) is a strict
 /// no-op: [`FaultConfig::is_noop`] returns true and an injector built from
 /// it never perturbs anything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed for every fault decision.
     pub seed: u64,
@@ -467,7 +466,7 @@ pub enum ActuationEvent {
 }
 
 /// How often each fault class fired during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Epochs whose telemetry was lost.
     pub telemetry_dropped: u64,

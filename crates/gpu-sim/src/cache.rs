@@ -4,13 +4,12 @@
 //! misses drive latency and bandwidth. Used for per-CU L1s (in the CU clock
 //! domain) and for the shared L2 banks (fixed memory domain).
 
-use serde::{Deserialize, Serialize};
 use snapshot::{Decoder, Encoder, SnapError, Snapshot};
 
 const INVALID: u64 = u64::MAX;
 
 /// Geometry of a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (power of two).
     pub sets: u32,
@@ -70,7 +69,7 @@ impl Snapshot for CacheConfig {
 /// assert!(!c.access(0));  // cold miss (fills)
 /// assert!(c.access(0));   // hit
 /// ```
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `sets * ways` tags; within a set, index 0 is MRU and index

@@ -2,14 +2,13 @@
 
 use crate::cache::CacheConfig;
 use crate::mem::MemConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulated GPU.
 ///
 /// Defaults model the paper's evaluation platform: a 64-CU Vega-class GPU
 /// with 40 wavefront slots per CU, 16 shared L2 banks at a fixed 1.6 GHz,
 /// and per-CU V/f domains spanning 1.3–2.2 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Number of compute units.
     pub n_cus: usize,

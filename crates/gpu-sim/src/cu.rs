@@ -13,7 +13,6 @@ use crate::mem::MemSystem;
 use crate::stats::{CuEpochStats, OpMix, WfEpochStats};
 use crate::time::{Femtos, Frequency};
 use crate::wavefront::Wavefront;
-use serde::{Deserialize, Serialize};
 use snapshot::{Decoder, Encoder, SnapError, Snapshot};
 
 /// Sentinel "no scheduled cycle" time for fully idle CUs.
@@ -46,7 +45,7 @@ impl Clone for CollectScratch {
 }
 
 /// Per-workgroup bookkeeping within a CU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WgState {
     active: bool,
     /// Live (unfinished) member wavefronts.
@@ -82,7 +81,7 @@ pub struct StepOutcome {
 }
 
 /// Non-issue interval classification for estimator telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Gap {
     MemOnly,
     StoreOnly,
@@ -108,7 +107,7 @@ impl Snapshot for Gap {
 }
 
 /// A single compute unit.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Cu {
     /// CU id (index within the GPU).
     pub id: usize,

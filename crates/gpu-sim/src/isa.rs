@@ -8,8 +8,6 @@
 //! PCs are byte addresses with fixed 4-byte instructions, matching the
 //! paper's PC-table tuning ("offset of 4 bits ≈ 4 instructions per entry").
 
-use serde::{Deserialize, Serialize};
-
 /// Width of one encoded instruction in bytes. PC values advance by this.
 pub const INSTRUCTION_BYTES: u32 = 4;
 
@@ -41,7 +39,7 @@ pub type LoopSlot = u8;
 /// memory operations are asynchronous and only [`Op::Waitcnt`] blocks on
 /// their completion (the `s_waitcnt` stall the paper's STALL estimator
 /// measures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Vector ALU operation; the wavefront's next instruction issues after
     /// `lat` compute-unit cycles (models dependent-chain latency).

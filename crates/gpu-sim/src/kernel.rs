@@ -7,7 +7,6 @@
 
 use crate::isa::{pc_of_index, LoopSlot, Op, PatternId, Pc};
 use crate::rng::{mix2, mix3};
-use serde::{Deserialize, Serialize};
 use snapshot::{Decoder, Encoder, SnapError, Snapshot};
 
 /// Cache-line size assumed throughout the memory hierarchy.
@@ -18,7 +17,7 @@ pub const LINE_BYTES: u64 = 64;
 /// Addresses are pure functions of `(pattern, wavefront uid, dynamic memory
 /// op counter, kernel seed)`, so forked simulations replay identical traffic.
 /// All addresses are line-aligned (one coalesced line per wavefront op).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddressPattern {
     /// Sequential streaming through a large region, partitioned by
     /// wavefront: high spatial locality within a wavefront, little reuse.
@@ -150,7 +149,7 @@ impl Snapshot for AddressPattern {
 }
 
 /// Static description of one loop in a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopInfo {
     /// Base trip count.
     pub trips: u16,
@@ -185,7 +184,7 @@ impl Snapshot for LoopInfo {
 }
 
 /// A compiled kernel: code object, loop/pattern tables and launch geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Kernel name (diagnostics only).
     pub name: String,
@@ -296,7 +295,7 @@ impl Snapshot for Kernel {
 /// An application: a named sequence of kernel launches executed back to back
 /// (with an implicit device-wide barrier between launches, as in HIP/CUDA
 /// streams).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct App {
     /// Application name, matching the paper's Table II where applicable.
     pub name: String,

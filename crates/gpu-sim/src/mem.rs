@@ -10,11 +10,10 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::time::{Femtos, Frequency};
-use serde::{Deserialize, Serialize};
 use snapshot::{Decoder, Encoder, SnapError, Snapshot};
 
 /// Configuration of the shared memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// Fixed memory-domain frequency (the paper uses 1.6 GHz).
     pub mem_freq_mhz: u32,
@@ -142,7 +141,7 @@ impl Snapshot for MemEpochStats {
 }
 
 /// Per-epoch memory-system counters (reset by `begin_epoch`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemEpochStats {
     /// L2 accesses that hit.
     pub l2_hits: u64,
@@ -182,7 +181,7 @@ pub struct AccessOutcome {
 /// unit conversion. Purely derived from [`MemConfig`]: excluded from the
 /// snapshot wire format and recomputed wherever a `MemSystem` is
 /// constructed or decoded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LatConsts {
     noc: Femtos,
     l2_hit: Femtos,
@@ -205,7 +204,7 @@ impl LatConsts {
 }
 
 /// The shared memory system below the per-CU L1s.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct MemSystem {
     cfg: MemConfig,
     l2_tags: Vec<Cache>,
@@ -214,7 +213,6 @@ pub struct MemSystem {
     miss_port_next_free: Vec<Femtos>,
     stats: MemEpochStats,
     l2_service: Femtos,
-    #[serde(skip, default)]
     lat: LatConsts,
 }
 

@@ -7,10 +7,9 @@
 use crate::isa::Pc;
 use crate::mem::MemEpochStats;
 use crate::time::{Femtos, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// Telemetry for one wavefront slot over one epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WfEpochStats {
     /// Whether a live wavefront occupied this slot during the epoch.
     pub present: bool,
@@ -45,7 +44,7 @@ pub struct WfEpochStats {
 }
 
 /// Instruction-class issue counts for one CU over one epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpMix {
     /// Vector-ALU instructions.
     pub valu: u64,
@@ -113,7 +112,7 @@ impl snapshot::Snapshot for OpMix {
 }
 
 /// Telemetry for one compute unit over one epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CuEpochStats {
     /// Operating frequency during the epoch.
     pub freq: Frequency,
@@ -193,7 +192,7 @@ impl CuEpochStats {
 }
 
 /// Telemetry for the whole GPU over one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochStats {
     /// Epoch start time.
     pub start: Femtos,

@@ -7,7 +7,6 @@
 //! CUs' wake-up times for the serial event loop.
 
 use crate::cu::IDLE;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -25,9 +24,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let epoch = Femtos::from_micros(1);
 /// assert_eq!(epoch.as_nanos_f64(), 1_000.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Femtos(pub u64);
 
 impl Femtos {
@@ -202,7 +199,7 @@ impl fmt::Display for Femtos {
 /// let f = Frequency::from_mhz(2000);
 /// assert_eq!(f.period().as_fs(), 500_000); // 0.5 ns
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency(u32);
 
 impl Frequency {

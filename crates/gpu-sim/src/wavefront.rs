@@ -10,7 +10,6 @@
 //! operations) or at epoch boundaries (telemetry).
 
 use crate::time::Femtos;
-use serde::{Deserialize, Serialize};
 
 /// One wavefront slot's cold state within a compute unit.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// as absolute completion timestamps in `pending_loads`/`pending_stores`,
 /// which lets `s_waitcnt` blocking be resolved analytically (no response
 /// events are needed).
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Wavefront {
     /// Globally unique id (drives address streams and loop jitter).
     pub uid: u64,

@@ -16,10 +16,9 @@ use crate::runner::RunConfig;
 use crate::session::{EpochCtx, RunObserver, Session};
 use dvfs::objective::SelectionContext;
 use gpu_sim::kernel::App;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate agreement between a design's choices and the oracle's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Agreement {
     /// Domain-epochs where the design chose exactly the oracle's state.
     pub exact: u64,

@@ -16,11 +16,10 @@ use gpu_sim::kernel::App;
 use pcstall::policy::PolicyKind;
 use power::energy::RunMetrics;
 use power::model::{PowerConfig, PowerModel};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of one policy-controlled run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// GPU platform.
     pub gpu: GpuConfig,
@@ -48,7 +47,7 @@ pub struct RunConfig {
 }
 
 /// Fault injection paired with its degradation response.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSetup {
     /// Fault rates, magnitudes and the seed.
     pub faults: faults::FaultConfig,
@@ -65,7 +64,7 @@ impl FaultSetup {
 }
 
 /// What the fault subsystem observed over one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultReport {
     /// Injected-event counters.
     pub counts: faults::FaultCounts,
@@ -164,7 +163,7 @@ impl RunConfig {
 }
 
 /// The outcome of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Design name.
     pub policy: String,

@@ -39,7 +39,6 @@ use pcstall::policy::{DecideCtx, Decision, DvfsPolicy, Telemetry};
 use pcstall::resilience::ResilientPolicy;
 use power::energy::EnergyAccount;
 use power::model::PowerModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -671,7 +670,7 @@ impl RunObserver for PowerCapObserver {
 /// A per-epoch, per-domain frequency-sensitivity trace recorded during a
 /// run (the Figure 6 characterization quantity, measured in the loop
 /// instead of by a separate probe pass).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityTrace {
     /// Slope of the instruction-vs-frequency curve per `[epoch][domain]`,
     /// in committed instructions per MHz across the allowed range.

@@ -22,7 +22,6 @@ use pcstall::oracle;
 use pcstall::policy::PolicyKind;
 use pcstall::sensitivity::fit_line;
 use power::model::PowerConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Relative change between two sensitivity observations, with a magnitude
@@ -57,7 +56,7 @@ pub(crate) fn avg_floored_change(series: &[f64], floor: f64) -> f64 {
 }
 
 /// One wavefront's probe measurement for one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WfProbe {
     /// Whether the slot held a live wavefront.
     pub present: bool,
@@ -73,7 +72,7 @@ pub struct WfProbe {
 }
 
 /// A per-epoch sensitivity trace of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeSeries {
     /// Epoch duration used.
     pub epoch: Femtos,
@@ -388,7 +387,7 @@ impl ProbeSeries {
 }
 
 /// PC-table sharing scopes studied in paper Fig. 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PcScope {
     /// Entries private to one wavefront slot.
     Wavefront,
@@ -401,7 +400,7 @@ pub enum PcScope {
 /// The Figure 5 linearity study: exhaustively samples `n_samples` epochs at
 /// every state and reports the per-CU (frequency, instructions) curves and
 /// the mean linear-fit R².
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearityResult {
     /// Sampled curves: `[sample][state] = (f_mhz, instructions)` for one CU.
     pub curves: Vec<Vec<(f64, f64)>>,
@@ -449,7 +448,7 @@ pub fn linearity_study(
 }
 
 /// One design's graceful-degradation curve across fault rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceCurve {
     /// Design name (e.g. "PCSTALL").
     pub policy: String,
@@ -468,7 +467,7 @@ pub struct ResilienceCurve {
 
 /// The resilience sweep's result: per-policy degradation curves over a
 /// shared fault-rate axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceCurves {
     /// The swept fault rates (the [`faults::FaultConfig::profile`] knob).
     pub rates: Vec<f64>,
@@ -481,8 +480,7 @@ pub struct ResilienceCurves {
 }
 
 impl ResilienceCurves {
-    /// Renders the curves as a JSON document (hand-rolled; the vendored
-    /// serde is a marker-trait stand-in without a serializer).
+    /// Renders the curves as a hand-rolled JSON document.
     pub fn to_json(&self) -> String {
         fn floats(v: &[f64]) -> String {
             let parts: Vec<String> = v.iter().map(|x| format!("{x:.6}")).collect();
@@ -591,7 +589,7 @@ pub fn resilience_sweep(
 }
 
 /// One hang-rate point of the supervision study (DESIGN.md §10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupervisionPoint {
     /// The injected per-cell hang probability.
     pub rate: f64,
@@ -621,7 +619,7 @@ pub struct SupervisionPoint {
 
 /// The supervision study's result: recovery behavior over a hang-rate
 /// ladder, proving grids complete with bounded wall-clock under chaos.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupervisionCurves {
     /// The swept hang rates.
     pub rates: Vec<f64>,
@@ -640,8 +638,7 @@ pub struct SupervisionCurves {
 }
 
 impl SupervisionCurves {
-    /// Renders the study as a JSON document (hand-rolled; the vendored
-    /// serde is a marker-trait stand-in without a serializer).
+    /// Renders the study as a hand-rolled JSON document.
     pub fn to_json(&self) -> String {
         fn strings(v: &[String]) -> String {
             let parts: Vec<String> =
@@ -761,7 +758,7 @@ pub struct FuzzScenarioResult {
     pub kernels: usize,
     /// Total instructions across its code objects.
     pub code_len: usize,
-    /// Rendered property violations (empty = all four oracles passed).
+    /// Rendered property violations (empty = all three oracles passed).
     pub violations: Vec<String>,
 }
 
@@ -781,8 +778,7 @@ impl FuzzStudy {
         self.scenarios.iter().map(|s| s.violations.len()).sum()
     }
 
-    /// Renders the study as a JSON document (hand-rolled; the vendored
-    /// serde is a marker-trait stand-in without a serializer).
+    /// Renders the study as a hand-rolled JSON document.
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self
             .scenarios

@@ -9,7 +9,6 @@ use crate::runner::{run, RunConfig, RunResult};
 use exec::global_pool;
 use gpu_sim::kernel::App;
 use pcstall::policy::PolicyKind;
-use serde::{Deserialize, Serialize};
 use snapshot::{ContainerReader, ContainerWriter, SnapError, Snapshot};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -17,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// One cell of a suite grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteCell {
     /// Application name.
     pub app: String,

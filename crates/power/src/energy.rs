@@ -3,7 +3,6 @@
 use crate::model::PowerModel;
 use gpu_sim::stats::EpochStats;
 use gpu_sim::time::Femtos;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates energy over a run, epoch by epoch, and produces the final
 /// efficiency metrics.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let m = acct.finish(gpu_sim::time::Femtos::from_micros(10));
 /// assert_eq!(m.delay_s, 1e-5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyAccount {
     model: PowerModel,
     energy_j: f64,
@@ -69,7 +68,7 @@ impl EnergyAccount {
 }
 
 /// Final energy/delay metrics for one application run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunMetrics {
     /// Total energy, joules.
     pub energy_j: f64,

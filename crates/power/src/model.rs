@@ -12,10 +12,9 @@
 
 use crate::vf::{IvrModel, VfCurve};
 use gpu_sim::time::{Femtos, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerConfig {
     /// The V(f) operating curve.
     pub vf: VfCurve,
@@ -64,7 +63,7 @@ impl Default for PowerConfig {
 }
 
 /// The power model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerModel {
     cfg: PowerConfig,
 }

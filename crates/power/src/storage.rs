@@ -9,10 +9,8 @@
 //! qualitative claim — STALL tiny, CRISP largest, PCSTALL in between but
 //! below CRISP — is preserved.
 
-use serde::{Deserialize, Serialize};
-
 /// Storage breakdown of one predictor instance, in bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageOverhead {
     /// Design name.
     pub name: &'static str,

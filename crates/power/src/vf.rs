@@ -1,7 +1,6 @@
 //! Voltage–frequency curve for the fine-grain V/f domains.
 
 use gpu_sim::time::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// A linear V(f) operating curve over the DVFS range.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((c.voltage(Frequency::from_mhz(1300)) - 0.75).abs() < 1e-12);
 /// assert!((c.voltage(Frequency::from_mhz(2200)) - 1.05).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfCurve {
     /// Lowest supported frequency (MHz).
     pub f_min_mhz: u32,
@@ -53,7 +52,7 @@ impl VfCurve {
 ///
 /// The paper's power model "accounts for the efficiency of IVRs at the
 /// different voltage states"; published regulators fall into two regimes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IvrModel {
     /// Lossless conversion (upper bound; useful for ablation).
     Ideal,

@@ -139,8 +139,7 @@ impl SoakReport {
         self.stats.lost_tenants == 0 && self.accounted() && self.stats.cap_epochs_missed == 0
     }
 
-    /// Hand-rolled JSON (the repo's vendored serde is a marker-trait
-    /// stand-in).
+    /// Renders the report as a hand-rolled JSON document.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
         let shed_tiers: Vec<String> = self.shed.per_tier.iter().map(|v| v.to_string()).collect();

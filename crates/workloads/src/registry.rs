@@ -2,14 +2,13 @@
 
 use crate::apps;
 use gpu_sim::kernel::App;
-use serde::{Deserialize, Serialize};
 
 /// Problem-size scaling of a workload.
 ///
 /// `Standard` targets ~40–100 µs of simulated execution on the full 64-CU
 /// GPU; `Quick` is for unit tests and fast benches; `Full` doubles the
 /// standard size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Reduced size for tests / quick benches.
     Quick,
@@ -41,7 +40,7 @@ impl Scale {
 }
 
 /// Workload category, as in Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// ECP HPC proxy applications.
     Hpc,

@@ -1,9 +1,11 @@
 //! Prints a per-workload digest of observable simulator behavior over the
 //! full Table II suite: epoch stats and snapshot bytes after six 1 µs
 //! epochs, plus the run-to-completion outcome. A second block repeats the
-//! digest for a few workloads on the 64-CU paper platform and on a 12-CU
-//! GPU (a CU count that is not a power of two), with every CU retimed at
-//! each epoch boundary so frequency-transition stalls reschedule CUs
+//! digest for a few workloads on the 64-CU paper platform, on a 12-CU GPU
+//! (a CU count that is not a power of two) and on 8 CUs of 80 wavefront
+//! slots (comd, dgemm and BwdSoft keep more than 64 wavefronts live per
+//! CU, past one 64-bit word of the CU's ready set), with every CU retimed
+//! at each epoch boundary so frequency-transition stalls reschedule CUs
 //! mid-run.
 //!
 //! The digest is the bit-exactness oracle for hot-path work. `ci.sh` diffs
@@ -21,7 +23,7 @@
 use gpu_sim::prelude::*;
 use workloads::registry::{all, by_name, Scale};
 
-/// Workloads repeated on the extra CU counts: compute-bound, memory-bound,
+/// Workloads repeated on the extra CU shapes: compute-bound, memory-bound,
 /// multi-kernel and barrier-heavy shapes.
 const EXTRA_WORKLOADS: [&str; 4] = ["comd", "lulesh", "dgemm", "BwdSoft"];
 
@@ -88,7 +90,11 @@ fn main() {
             digest_completion(small, &app),
         );
     }
-    let extra = [("cus64", GpuConfig::default()), ("cus12", GpuConfig { n_cus: 12, ..small })];
+    let extra = [
+        ("cus64", GpuConfig::default()),
+        ("cus12", GpuConfig { n_cus: 12, ..small }),
+        ("slots80", GpuConfig { n_cus: 8, wf_slots: 80, ..small }),
+    ];
     for (label, cfg) in extra {
         for name in EXTRA_WORKLOADS {
             let app = by_name(name, Scale::Quick).expect("registry workload");

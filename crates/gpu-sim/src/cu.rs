@@ -25,6 +25,177 @@ const WF_BARRIER: u8 = 1 << 1;
 /// `wf_state` flag: the wavefront has executed `EndKernel`.
 const WF_FINISHED: u8 = 1 << 2;
 
+/// Ready-set horizon in cycles: a wait set less than this far past the
+/// issuing cycle keeps its wavefront in the per-step scan (`near`); a
+/// longer one parks it in `far` until `far_min` comes due. Any split
+/// gives the same ready list and wake-up; this only trades scan length
+/// against how often `far` is swept.
+const NEAR_CYCLES: u64 = 32;
+
+/// Initial capacity of each CU-wide pending list: enough stale entries
+/// between compactions that the sweep cost per push stays a small
+/// constant, and enough room that steady-state epochs never grow it.
+const PENDING_CAP: usize = 256;
+
+/// A set of `sched_order` positions, one bit each, over as many 64-bit
+/// words as the CU has wavefront slots. Inserting or removing a position
+/// shifts every later one, mirroring `Vec::insert`/`Vec::remove` on
+/// `sched_order`.
+#[derive(Debug)]
+struct PosBits(Vec<u64>);
+
+impl Clone for PosBits {
+    fn clone(&self) -> Self {
+        PosBits(self.0.clone())
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.0.clone_from(&src.0);
+    }
+}
+
+impl PosBits {
+    fn new(positions: usize) -> Self {
+        PosBits(vec![0; positions.div_ceil(64).max(1)])
+    }
+
+    #[inline]
+    fn set(&mut self, p: usize) {
+        self.0[p / 64] |= 1 << (p % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, p: usize) {
+        self.0[p / 64] &= !(1 << (p % 64));
+    }
+
+    /// Opens a clear bit at `p`, moving every position `>= p` up by one.
+    fn insert(&mut self, p: usize) {
+        let (w, b) = (p / 64, p % 64);
+        for i in (w + 1..self.0.len()).rev() {
+            self.0[i] = (self.0[i] << 1) | (self.0[i - 1] >> 63);
+        }
+        let x = self.0[w];
+        let low = (1u64 << b) - 1;
+        self.0[w] = (x & low) | ((x & !low) << 1);
+    }
+
+    /// Drops bit `p`, moving every position `> p` down by one.
+    fn remove(&mut self, p: usize) {
+        let (w, b) = (p / 64, p % 64);
+        let x = self.0[w];
+        let low = (1u64 << b) - 1;
+        self.0[w] = (x & low) | ((x >> 1) & !low);
+        for i in w + 1..self.0.len() {
+            self.0[i - 1] |= (self.0[i] & 1) << 63;
+            self.0[i] >>= 1;
+        }
+    }
+}
+
+/// Completion times of the CU's outstanding loads (or stores), swept
+/// lazily.
+///
+/// The CU only ever asks "is anything still pending after `now`?", and its
+/// step times never decrease, so every entry at or before the latest sweep
+/// time is dead for good. A sweep therefore just records its time;
+/// answering it is `max > now`. The dead entries are dropped only when a
+/// push finds the buffer out of spare capacity, and [`Cu`]'s snapshot
+/// writes only the entries after the sweep time — exactly the list an
+/// eager `retain(t > now)` at every sweep would hold, since every access
+/// completes after the cycle that issues it, so every push lands strictly
+/// after the sweep that precedes it.
+#[derive(Debug)]
+struct PendingList {
+    buf: Vec<Femtos>,
+    /// Time of the latest sweep (derived: zero after decode).
+    swept_at: Femtos,
+    /// Largest time ever pushed (derived from the entries on decode).
+    max: Femtos,
+    /// Tests only: the list as eager sweeping keeps it, the reference for
+    /// [`PendingList::live`].
+    #[cfg(test)]
+    eager: Vec<Femtos>,
+}
+
+impl Clone for PendingList {
+    fn clone(&self) -> Self {
+        let mut out = PendingList::with_capacity(0);
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.buf.clone_from(&src.buf);
+        self.swept_at = src.swept_at;
+        self.max = src.max;
+        #[cfg(test)]
+        self.eager.clone_from(&src.eager);
+    }
+}
+
+impl PendingList {
+    fn with_capacity(cap: usize) -> Self {
+        Self::from_entries(Vec::with_capacity(cap))
+    }
+
+    /// A list holding `buf`, none of it swept yet.
+    fn from_entries(buf: Vec<Femtos>) -> Self {
+        PendingList {
+            max: buf.iter().copied().fold(Femtos::ZERO, Femtos::max),
+            #[cfg(test)]
+            eager: buf.clone(),
+            buf,
+            swept_at: Femtos::ZERO,
+        }
+    }
+
+    /// Sweeps at `now` and reports whether anything completes after it.
+    #[inline]
+    fn sweep(&mut self, now: Femtos) -> bool {
+        debug_assert!(now >= self.swept_at, "pending-list sweep went back in time");
+        self.swept_at = now;
+        #[cfg(test)]
+        self.eager.retain(|&t| t > now);
+        self.max > now
+    }
+
+    /// Records an operation completing at `t`.
+    #[inline]
+    fn push(&mut self, t: Femtos) {
+        if self.buf.len() == self.buf.capacity() {
+            let swept_at = self.swept_at;
+            self.buf.retain(|&e| e > swept_at);
+            // Keep at least half the buffer spare so compactions stay rare.
+            if self.buf.len() * 2 > self.buf.capacity() {
+                self.buf.reserve(self.buf.capacity());
+            }
+        }
+        self.buf.push(t);
+        self.max = self.max.max(t);
+        #[cfg(test)]
+        self.eager.push(t);
+    }
+
+    /// The entries still pending after the latest sweep, in push order.
+    fn live(&self) -> impl Iterator<Item = Femtos> + '_ {
+        self.buf.iter().copied().filter(move |&t| t > self.swept_at)
+    }
+}
+
+/// Same bytes as the eagerly swept `Vec<Femtos>` it replaces.
+impl Snapshot for PendingList {
+    fn encode(&self, w: &mut Encoder) {
+        w.put_usize(self.live().count());
+        for t in self.live() {
+            t.encode(w);
+        }
+    }
+    fn decode(r: &mut Decoder) -> Result<Self, SnapError> {
+        Ok(PendingList::from_entries(Vec::<Femtos>::decode(r)?))
+    }
+}
+
 /// Reusable scratch for [`Cu::collect_into`] and the per-step ready list:
 /// buffers that would otherwise be allocated fresh for every CU step or
 /// every epoch collection.
@@ -107,7 +278,12 @@ impl Snapshot for Gap {
 }
 
 /// A single compute unit.
-#[derive(Debug, PartialEq)]
+///
+/// No `PartialEq`: the ready set and the lazily swept pending lists are
+/// derived caches whose raw contents may differ between CUs in the same
+/// logical state (a decoded CU and its original, say). The snapshot bytes
+/// are the equality that matters, and tests compare those.
+#[derive(Debug)]
 pub struct Cu {
     /// CU id (index within the GPU).
     pub id: usize,
@@ -133,6 +309,19 @@ pub struct Cu {
     /// order — the scheduler's arbitration order, maintained incrementally
     /// at dispatch and retirement so the ready scan never sorts.
     sched_order: Vec<u32>,
+    // ---- the incremental ready set, indexed by `sched_order` position ----
+    // Derived from the slot state (never serialized). Every live position
+    // not at a barrier is in exactly one of `near` and `far`; only `near`
+    // is scanned each step.
+    /// Wait of the wavefront at each `sched_order` position ([`IDLE`] while
+    /// it is at a barrier).
+    ord_wait: Vec<Femtos>,
+    /// Positions whose wait was set within [`NEAR_CYCLES`] of its cycle.
+    near: PosBits,
+    /// Positions waiting longer; none is ready before `far_min`.
+    far: PosBits,
+    /// Exact minimum wait over `far` ([`IDLE`] when empty).
+    far_min: Femtos,
     /// Slots with `WF_ACTIVE` set (occupancy; the complement is free).
     n_active: u32,
     wgs: Vec<WgState>,
@@ -140,8 +329,8 @@ pub struct Cu {
     l1_hit_lat: u64,
     issue_width: usize,
     // ---- CU-wide outstanding tracking (for leading-load & gap classing).
-    cu_pending_loads: Vec<Femtos>,
-    cu_pending_stores: Vec<Femtos>,
+    cu_pending_loads: PendingList,
+    cu_pending_stores: PendingList,
     // ---- epoch accounting ----
     epoch_start: Femtos,
     accounted_until: Femtos,
@@ -175,6 +364,10 @@ impl Clone for Cu {
             wf_pc: self.wf_pc.clone(),
             wf_age: self.wf_age.clone(),
             sched_order: self.sched_order.clone(),
+            ord_wait: self.ord_wait.clone(),
+            near: self.near.clone(),
+            far: self.far.clone(),
+            far_min: self.far_min,
             n_active: self.n_active,
             wgs: self.wgs.clone(),
             l1: self.l1.clone(),
@@ -210,6 +403,10 @@ impl Clone for Cu {
             wf_pc,
             wf_age,
             sched_order,
+            ord_wait,
+            near,
+            far,
+            far_min,
             n_active,
             wgs,
             l1,
@@ -240,6 +437,10 @@ impl Clone for Cu {
         self.wf_pc.clone_from(wf_pc);
         self.wf_age.clone_from(wf_age);
         self.sched_order.clone_from(sched_order);
+        self.ord_wait.clone_from(ord_wait);
+        self.near.clone_from(near);
+        self.far.clone_from(far);
+        self.far_min = *far_min;
         self.n_active = *n_active;
         self.wgs.clone_from(wgs);
         self.l1.clone_from(l1);
@@ -270,8 +471,9 @@ impl Clone for Cu {
 /// The wavefront region is encoded **interleaved**: each slot's hot SoA
 /// values (state flags, wait, PC, age) are written at the wire positions
 /// the pre-SoA `Wavefront` struct used for them, so the snapshot format is
-/// byte-identical to the AoS layout. `sched_order` and `n_active` are
-/// derived from the decoded state, never serialized.
+/// byte-identical to the AoS layout. `sched_order`, `n_active` and the
+/// ready set are derived from the decoded state, never serialized, and the
+/// pending lists write only their live entries (see [`PendingList`]).
 impl Snapshot for Cu {
     fn encode(&self, w: &mut Encoder) {
         let Cu {
@@ -285,7 +487,11 @@ impl Snapshot for Cu {
             wf_pc,
             wf_age,
             sched_order: _, // derived from wf_state/wf_age on decode
-            n_active: _,    // derived from wf_state on decode
+            ord_wait: _,    // the ready set: derived from the slot state
+            near: _,
+            far: _,
+            far_min: _,
+            n_active: _, // derived from wf_state on decode
             wgs,
             l1,
             l1_hit_lat,
@@ -425,6 +631,21 @@ impl Snapshot for Cu {
             .collect();
         sched_order.sort_unstable_by_key(|&i| (wf_age[i as usize], i));
         let n_active = wf_state.iter().filter(|&&s| s & WF_ACTIVE != 0).count() as u32;
+        // Every waiting position starts in `far`; the first step moves the
+        // due ones to `near`.
+        let mut ord_wait = Vec::with_capacity(n);
+        let mut far = PosBits::new(n);
+        let mut far_min = IDLE;
+        for (p, &i) in sched_order.iter().enumerate() {
+            let i = i as usize;
+            if wf_state[i] & WF_BARRIER != 0 {
+                ord_wait.push(IDLE);
+            } else {
+                ord_wait.push(wf_wait[i]);
+                far.set(p);
+                far_min = far_min.min(wf_wait[i]);
+            }
+        }
         let cu = Cu {
             id,
             freq,
@@ -436,13 +657,17 @@ impl Snapshot for Cu {
             wf_pc,
             wf_age,
             sched_order,
+            ord_wait,
+            near: PosBits::new(n),
+            far,
+            far_min,
             n_active,
             wgs: Vec::<WgState>::decode(r)?,
             l1: Cache::decode(r)?,
             l1_hit_lat: r.take_u64()?,
             issue_width: r.take_usize()?,
-            cu_pending_loads: Vec::<Femtos>::decode(r)?,
-            cu_pending_stores: Vec::<Femtos>::decode(r)?,
+            cu_pending_loads: PendingList::decode(r)?,
+            cu_pending_stores: PendingList::decode(r)?,
             epoch_start: Femtos::decode(r)?,
             accounted_until: Femtos::decode(r)?,
             gap_class: Gap::decode(r)?,
@@ -502,13 +727,17 @@ impl Cu {
             wf_pc: vec![0; cfg.wf_slots],
             wf_age: vec![0; cfg.wf_slots],
             sched_order: Vec::with_capacity(cfg.wf_slots),
+            ord_wait: Vec::with_capacity(cfg.wf_slots),
+            near: PosBits::new(cfg.wf_slots),
+            far: PosBits::new(cfg.wf_slots),
+            far_min: IDLE,
             n_active: 0,
             wgs: vec![WgState::empty(); cfg.wf_slots],
             l1: Cache::new(cfg.l1),
             l1_hit_lat: cfg.l1_hit_cycles as u64,
             issue_width: cfg.issue_width.max(1),
-            cu_pending_loads: Vec::new(),
-            cu_pending_stores: Vec::new(),
+            cu_pending_loads: PendingList::with_capacity(PENDING_CAP),
+            cu_pending_stores: PendingList::with_capacity(PENDING_CAP),
             epoch_start: Femtos::ZERO,
             accounted_until: Femtos::ZERO,
             gap_class: Gap::Idle,
@@ -629,6 +858,10 @@ impl Cu {
                 .sched_order
                 .partition_point(|&s| (self.wf_age[s as usize], s) < (age, slot as u32));
             self.sched_order.insert(pos, slot as u32);
+            self.ord_wait.insert(pos, now);
+            self.near.insert(pos);
+            self.far.insert(pos);
+            self.near.set(pos);
             self.n_active += 1;
             k += 1;
         }
@@ -666,27 +899,74 @@ impl Cu {
         self.step_selected(now, mem, app_kernels, ready, wake)
     }
 
-    /// Fills `ready` with the slots of wavefronts ready at `now`, in age
-    /// order — the scheduler's arbitration input — and returns the earliest
-    /// wait among the others not blocked at a barrier ([`IDLE`] if none):
-    /// the wake-up [`Cu::step_selected`] skips to when nothing is ready.
-    /// `sched_order` is already age-sorted, so this is one pass over two
-    /// dense arrays with no sort.
-    fn collect_ready(&self, now: Femtos, ready: &mut Vec<u32>) -> Femtos {
+    /// Fills `ready` with the `sched_order` positions of wavefronts ready
+    /// at `now`, ascending (so in age order) — the scheduler's arbitration
+    /// input — and returns the earliest wait among the others not blocked
+    /// at a barrier ([`IDLE`] if none): the wake-up [`Cu::step_selected`]
+    /// skips to when nothing is ready.
+    ///
+    /// Only `near` is scanned. Nothing in `far` is ready before `far_min`,
+    /// and `far_min` is its exact minimum, so the result equals a walk of
+    /// every live wavefront. Once `far_min` comes due, `far` is swept
+    /// first and its entries now within the horizon move to `near`.
+    fn collect_ready(&mut self, now: Femtos, ready: &mut Vec<u32>) -> Femtos {
+        if now >= self.far_min {
+            self.refill_near(now);
+        }
         ready.clear();
-        let mut wake = IDLE;
-        for &slot in &self.sched_order {
-            let i = slot as usize;
-            if self.wf_state[i] & WF_BARRIER == 0 {
-                let wait = self.wf_wait[i];
+        let mut wake = self.far_min;
+        for (wi, &word) in self.near.0.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let p = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let wait = self.ord_wait[p];
                 if wait <= now {
-                    ready.push(slot);
+                    ready.push(p as u32);
                 } else {
                     wake = wake.min(wait);
                 }
             }
         }
         wake
+    }
+
+    /// Moves every `far` position whose wait falls within the horizon of
+    /// `now` to `near`, and recomputes `far_min` over the rest.
+    fn refill_near(&mut self, now: Femtos) {
+        let horizon = now + self.period * NEAR_CYCLES;
+        let mut far_min = IDLE;
+        for wi in 0..self.far.0.len() {
+            let mut bits = self.far.0[wi];
+            let mut moved = 0u64;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let wait = self.ord_wait[wi * 64 + b as usize];
+                if wait < horizon {
+                    moved |= 1 << b;
+                } else {
+                    far_min = far_min.min(wait);
+                }
+            }
+            self.far.0[wi] &= !moved;
+            self.near.0[wi] |= moved;
+        }
+        self.far_min = far_min;
+    }
+
+    /// Sets the wait of the wavefront at position `pos` (slot `slot`), which
+    /// has just issued at `now` and so is in `near`; a wait beyond the
+    /// horizon parks it in `far`.
+    #[inline]
+    fn set_wait(&mut self, pos: usize, slot: usize, wait: Femtos, now: Femtos) {
+        self.wf_wait[slot] = wait;
+        self.ord_wait[pos] = wait;
+        if wait >= now + self.period * NEAR_CYCLES {
+            self.near.clear(pos);
+            self.far.set(pos);
+            self.far_min = self.far_min.min(wait);
+        }
     }
 
     /// The body of [`Cu::step`] with the arbitration input and the
@@ -704,11 +984,15 @@ impl Cu {
             // Close any in-flight gap first.
             let gap = self.gap_class;
             self.account(gap, self.accounted_until, now);
-            for &j in ready.iter().skip(self.issue_width) {
-                self.slots[j as usize].e_sched_wait += self.period;
+            for &p in ready.iter().skip(self.issue_width) {
+                self.slots[self.sched_order[p as usize] as usize].e_sched_wait += self.period;
             }
-            for &j in ready.iter().take(self.issue_width) {
-                self.issue(j as usize, now, mem, app_kernels, &mut outcome);
+            // A retirement removes its position, so later ones move down.
+            let mut retired = 0;
+            for &p in ready.iter().take(self.issue_width) {
+                if self.issue(p as usize - retired, now, mem, app_kernels, &mut outcome) {
+                    retired += 1;
+                }
             }
             self.add_busy(now, now + self.period);
             self.next_cycle = now + self.period;
@@ -743,12 +1027,11 @@ impl Cu {
     }
 
     fn classify_gap(&mut self, now: Femtos) -> Gap {
-        self.cu_pending_loads.retain(|&t| t > now);
-        if !self.cu_pending_loads.is_empty() {
-            return Gap::MemOnly;
-        }
-        self.cu_pending_stores.retain(|&t| t > now);
-        if !self.cu_pending_stores.is_empty() {
+        // The store list is swept only when no load is pending, as the
+        // snapshot bytes of the store list depend on when it was swept.
+        if self.cu_pending_loads.sweep(now) {
+            Gap::MemOnly
+        } else if self.cu_pending_stores.sweep(now) {
             Gap::StoreOnly
         } else {
             Gap::Idle
@@ -776,14 +1059,18 @@ impl Cu {
         }
     }
 
+    /// Issues the next instruction of the wavefront at `sched_order`
+    /// position `pos`; returns whether it retired (and so left
+    /// `sched_order`).
     fn issue(
         &mut self,
-        slot: usize,
+        pos: usize,
         now: Femtos,
         mem: &mut MemSystem,
         app_kernels: &[Kernel],
         outcome: &mut StepOutcome,
-    ) {
+    ) -> bool {
+        let slot = self.sched_order[pos] as usize;
         let period = self.period;
         let cu_id = self.id;
         let l1_lat = self.l1_hit_lat;
@@ -806,11 +1093,11 @@ impl Cu {
         let wf = &mut self.slots[slot];
         match op {
             Op::Valu { lat } => {
-                self.wf_wait[slot] = now + period * lat as u64;
+                self.set_wait(pos, slot, now + period * lat as u64, now);
                 self.wf_pc[slot] += 1;
             }
             Op::Salu => {
-                self.wf_wait[slot] = now + period;
+                self.set_wait(pos, slot, now + period, now);
                 self.wf_pc[slot] += 1;
             }
             Op::Load { pattern } => {
@@ -829,12 +1116,11 @@ impl Cu {
                 }
                 wf.pending_loads.push(complete);
                 // CU-level leading-load tracking.
-                self.cu_pending_loads.retain(|&t| t > now);
-                if self.cu_pending_loads.is_empty() {
+                if !self.cu_pending_loads.sweep(now) {
                     self.e_lead += complete - now;
                 }
                 self.cu_pending_loads.push(complete);
-                self.wf_wait[slot] = now + period;
+                self.set_wait(pos, slot, now + period, now);
                 self.wf_pc[slot] += 1;
             }
             Op::Store { pattern } => {
@@ -844,9 +1130,9 @@ impl Cu {
                 let ack = mem.store(cu_id, addr, now, period).complete_at;
                 wf.drain_stores(now);
                 wf.pending_stores.push(ack);
-                self.cu_pending_stores.retain(|&t| t > now);
+                self.cu_pending_stores.sweep(now);
                 self.cu_pending_stores.push(ack);
-                self.wf_wait[slot] = now + period;
+                self.set_wait(pos, slot, now + period, now);
                 self.wf_pc[slot] += 1;
             }
             Op::Waitcnt { vm, st } => {
@@ -865,11 +1151,13 @@ impl Cu {
                         self.e_store_stall += store_target - load_target.max(now);
                     }
                 }
-                self.wf_wait[slot] = target.max(now + period);
+                self.set_wait(pos, slot, target.max(now + period), now);
                 self.wf_pc[slot] += 1;
             }
             Op::Barrier => {
                 self.wf_state[slot] |= WF_BARRIER;
+                self.ord_wait[pos] = IDLE;
+                self.near.clear(pos);
                 wf.barrier_since = now;
                 self.wf_pc[slot] += 1;
                 let wg_local = wf.wg_local as usize;
@@ -887,17 +1175,15 @@ impl Cu {
                     *iters = 0;
                     self.wf_pc[slot] += 1;
                 }
-                self.wf_wait[slot] = now + period;
+                self.set_wait(pos, slot, now + period, now);
             }
             Op::EndKernel => {
                 self.wf_state[slot] = (self.wf_state[slot] | WF_FINISHED) & !WF_ACTIVE;
                 self.n_active -= 1;
-                let pos = self
-                    .sched_order
-                    .iter()
-                    .position(|&s| s == slot as u32)
-                    .expect("retiring wavefront is live, so it is in sched_order");
                 self.sched_order.remove(pos);
+                self.ord_wait.remove(pos);
+                self.near.remove(pos);
+                self.far.remove(pos);
                 let wg_local = wf.wg_local as usize;
                 let wg = &mut self.wgs[wg_local];
                 wg.remaining -= 1;
@@ -908,8 +1194,10 @@ impl Cu {
                     // A straggler finishing can complete a barrier.
                     self.maybe_release_barrier(wg_local, now);
                 }
+                return true;
             }
         }
+        false
     }
 
     fn maybe_release_barrier(&mut self, wg_local: usize, now: Femtos) {
@@ -917,7 +1205,7 @@ impl Cu {
         if wg.active && wg.remaining > 0 && wg.at_barrier == wg.remaining {
             let period = self.period;
             let epoch_start = self.epoch_start;
-            for &s in &self.sched_order {
+            for (p, &s) in self.sched_order.iter().enumerate() {
                 let i = s as usize;
                 if self.wf_state[i] & WF_BARRIER != 0 && self.slots[i].wg_local as usize == wg_local
                 {
@@ -925,6 +1213,8 @@ impl Cu {
                     let wf = &mut self.slots[i];
                     wf.e_barrier_stall += now - wf.barrier_since.max(epoch_start);
                     self.wf_wait[i] = now + period;
+                    self.ord_wait[p] = now + period;
+                    self.near.set(p);
                 }
             }
             self.wgs[wg_local].at_barrier = 0;
@@ -1024,6 +1314,7 @@ mod tests {
     use super::*;
     use crate::kernel::{AddressPattern, KernelBuilder};
     use crate::mem::{MemConfig, MemSystem};
+    use crate::rng::SplitMix64;
 
     fn cfg() -> GpuConfig {
         GpuConfig { n_cus: 1, wf_slots: 8, ..GpuConfig::default() }
@@ -1204,5 +1495,198 @@ mod tests {
         // Saturated compute: busy should dominate and cover ~the epoch.
         assert!(covered.as_fs() as f64 >= 0.95 * end.as_fs() as f64, "covered {covered}");
         assert!(s.busy.as_fs() as f64 >= 0.9 * end.as_fs() as f64);
+    }
+
+    /// The ready scan the incremental ready set replaced: one walk of every
+    /// live wavefront in age order. Returns slots (not positions) and the
+    /// wake-up.
+    fn reference_ready(cu: &Cu, now: Femtos) -> (Vec<u32>, Femtos) {
+        let mut ready = Vec::new();
+        let mut wake = IDLE;
+        for &slot in &cu.sched_order {
+            let i = slot as usize;
+            if cu.wf_state[i] & WF_BARRIER == 0 {
+                let wait = cu.wf_wait[i];
+                if wait <= now {
+                    ready.push(slot);
+                } else {
+                    wake = wake.min(wait);
+                }
+            }
+        }
+        (ready, wake)
+    }
+
+    /// A looping kernel of random VALU (up to twice the ready-set horizon),
+    /// SALU, loads, stores, `s_waitcnt` and barriers, with per-wavefront
+    /// trip jitter so wavefronts of one workgroup retire at different times.
+    fn random_kernel(rng: &mut SplitMix64, wg_wf: u8) -> Kernel {
+        let mut b = KernelBuilder::new("random", 1 << 20, wg_wf, rng.next_u64());
+        let far = b.pattern(AddressPattern::Random { base: 0, region: 1 << 26 });
+        let near = b.pattern(AddressPattern::Tile { base: 1 << 27, tile: 1 << 12 });
+        b.begin_loop(2 + rng.next_below(12) as u16, rng.next_below(4) as u16);
+        for _ in 0..4 + rng.next_below(12) {
+            match rng.next_below(8) {
+                0 => b.valu(1 + rng.next_below(2 * NEAR_CYCLES) as u8, 1),
+                1 => b.salu(1),
+                2 => b.load(far),
+                3 => b.load(near),
+                4 => b.store(far),
+                5 => b.waitcnt_vm(rng.next_below(3) as u8),
+                6 => b.waitcnt_st(rng.next_below(2) as u8),
+                _ => b.barrier(),
+            };
+        }
+        b.end_loop();
+        b.finish()
+    }
+
+    /// Encodes `cu` and decodes it again, checking the round trip is
+    /// byte-exact.
+    fn round_trip(cu: &Cu) -> Cu {
+        let mut w = Encoder::new();
+        cu.encode(&mut w);
+        let bytes = w.into_bytes();
+        let back = Cu::decode(&mut Decoder::new(&bytes)).expect("CU snapshot decodes");
+        let mut w = Encoder::new();
+        back.encode(&mut w);
+        assert_eq!(w.into_bytes(), bytes, "CU snapshot round trip is not byte-exact");
+        back
+    }
+
+    /// Drives one CU of `wf_slots` slots through `steps` steps of random
+    /// kernels. Before every step the incremental ready list and wake-up
+    /// must equal [`reference_ready`]; after it, exactly the first
+    /// `issue_width` reference-ready wavefronts must have issued, and both
+    /// pending lists must hold what eager sweeping would. Workgroups are
+    /// dispatched at random times in `[last step, next_cycle]`, which
+    /// re-anchors the cycle grid, and with random ages, so dispatch inserts
+    /// mid-`sched_order`. Every few hundred steps the CU is replaced by its
+    /// snapshot round trip, which rebuilds the derived state.
+    fn check_ready_set(wf_slots: usize, seed: u64, steps: usize) {
+        let mut rng = SplitMix64::new(seed);
+        let issue_width = 1 + rng.next_below(4) as usize;
+        let cfg = GpuConfig { n_cus: 1, wf_slots, issue_width, ..GpuConfig::default() };
+        let wg_wf = 1 + rng.next_below(wf_slots.min(6) as u64) as u8;
+        let kernels = vec![random_kernel(&mut rng, wg_wf), random_kernel(&mut rng, wg_wf)];
+        let mut cu = Cu::new(0, &cfg);
+        let mut m = MemSystem::new(MemConfig::default(), 1);
+        let mut last = Femtos::ZERO;
+        let mut uid = 0;
+        let mut ready = Vec::new();
+        for step in 0..steps {
+            if cu.next_cycle == IDLE || rng.next_below(3) == 0 {
+                let span = cu.next_cycle.min(last + Femtos::from_nanos(50)) - last;
+                let t = last + Femtos(rng.next_below(span.as_fs() + 1));
+                let k = rng.next_below(2) as usize;
+                let age = rng.next_below(1 << 16);
+                if cu.try_dispatch_wg(&kernels[k], k as u32, uid, age, t) {
+                    uid += u64::from(wg_wf);
+                }
+            }
+            if step % 397 == 396 {
+                cu = round_trip(&cu);
+            }
+            let now = cu.next_cycle;
+            assert_ne!(now, IDLE, "a dispatched CU is scheduled");
+            let (want, want_wake) = reference_ready(&cu, now);
+            let wake = cu.collect_ready(now, &mut ready);
+            let got: Vec<u32> = ready.iter().map(|&p| cu.sched_order[p as usize]).collect();
+            assert_eq!(got, want, "slots {wf_slots} seed {seed} step {step}: ready list");
+            assert_eq!(wake, want_wake, "slots {wf_slots} seed {seed} step {step}: wake-up");
+            let before: Vec<(u32, u8)> =
+                (0..wf_slots).map(|i| (cu.wf_pc[i], cu.wf_state[i] & WF_FINISHED)).collect();
+            cu.step_selected(now, &mut m, &kernels, &ready, wake);
+            let issued: Vec<u32> = (0..wf_slots as u32)
+                .filter(|&i| {
+                    before[i as usize]
+                        != (cu.wf_pc[i as usize], cu.wf_state[i as usize] & WF_FINISHED)
+                })
+                .collect();
+            let mut chosen: Vec<u32> = want.iter().copied().take(issue_width).collect();
+            chosen.sort_unstable();
+            assert_eq!(issued, chosen, "slots {wf_slots} seed {seed} step {step}: issued set");
+            for list in [&cu.cu_pending_loads, &cu.cu_pending_stores] {
+                assert!(list.live().eq(list.eager.iter().copied()), "step {step}: pending list");
+            }
+            last = now;
+        }
+    }
+
+    #[test]
+    fn incremental_ready_set_matches_full_scan() {
+        // 64 and 65 straddle one bitset word; 100 spans two.
+        for wf_slots in [1, 8, 40, 64, 65, 100] {
+            for seed in 0..4 {
+                check_ready_set(wf_slots, 1000 * wf_slots as u64 + seed, 4000);
+            }
+        }
+    }
+
+    #[test]
+    fn pos_bits_shift_like_vec_insert_and_remove() {
+        let mut rng = SplitMix64::new(5);
+        for n in [1, 63, 64, 65, 100, 130] {
+            let mut bits = PosBits::new(n);
+            let mut model: Vec<bool> = Vec::new();
+            // Inserts outnumber removals, so the set fills past a word.
+            for _ in 0..2000 {
+                let len = model.len();
+                match rng.next_below(5) {
+                    0 | 1 if len < n => {
+                        let p = rng.next_below(len as u64 + 1) as usize;
+                        bits.insert(p);
+                        model.insert(p, false);
+                    }
+                    2 if len > 0 => {
+                        let p = rng.next_below(len as u64) as usize;
+                        bits.remove(p);
+                        model.remove(p);
+                    }
+                    _ if len > 0 => {
+                        let p = rng.next_below(len as u64) as usize;
+                        if model[p] {
+                            bits.clear(p);
+                        } else {
+                            bits.set(p);
+                        }
+                        model[p] = !model[p];
+                    }
+                    _ => {}
+                }
+                let got: Vec<bool> =
+                    (0..bits.0.len() * 64).map(|p| bits.0[p / 64] >> (p % 64) & 1 != 0).collect();
+                let want: Vec<bool> =
+                    (0..bits.0.len() * 64).map(|p| model.get(p) == Some(&true)).collect();
+                assert_eq!(got, want, "n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_pending_list_encodes_like_eager_sweeps() {
+        // A small buffer forces frequent compactions; sweeps and pushes
+        // follow the CU's pattern (monotone times, completions after the
+        // sweep), with snapshot round trips mid-run.
+        let mut rng = SplitMix64::new(11);
+        let mut list = PendingList::with_capacity(4);
+        let mut now = Femtos::ZERO;
+        for i in 0..20_000 {
+            now += Femtos(rng.next_below(3_000));
+            let pending = list.sweep(now);
+            assert_eq!(pending, !list.eager.is_empty(), "op {i}: pending answer");
+            for _ in 0..rng.next_below(3) {
+                list.push(now + Femtos(1 + rng.next_below(400_000)));
+            }
+            let mut w = Encoder::new();
+            list.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut w = Encoder::new();
+            list.eager.encode(&mut w);
+            assert_eq!(bytes, w.into_bytes(), "op {i}: encoded list");
+            if i % 1000 == 999 {
+                list = PendingList::decode(&mut Decoder::new(&bytes)).expect("list decodes");
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Per-wavefront *cold* architectural and telemetry state.
 //!
-//! The hot scheduling fields the CU touches every cycle for every slot —
+//! The hot scheduling fields the CU touches when it schedules —
 //! active/barrier/finished state, `wait_until`, PC index and age — live in
 //! dense struct-of-arrays form on [`crate::cu::Cu`] (`wf_state`,
-//! `wf_wait`, `wf_pc`, `wf_age`), so the per-cycle ready scan walks a few
-//! cache lines instead of striding over these ~200-byte payload structs.
+//! `wf_wait`, `wf_pc`, `wf_age`, plus the ready set's age-ordered copy of
+//! the waits), so the per-cycle ready scan reads a few cache lines instead
+//! of striding over these ~200-byte payload structs.
 //! This struct keeps everything the CU only touches when a wavefront
 //! actually issues (identity, address-stream counters, outstanding memory
 //! operations) or at epoch boundaries (telemetry).

@@ -2,16 +2,16 @@
 //!
 //! This binary installs a counting `#[global_allocator]` that forwards
 //! every heap allocation to `gpu_sim::alloc_probe`. After a warmup phase
-//! (where allocation is legitimate: scheduler scratch and
-//! telemetry vectors all size themselves), steady-state epochs must
-//! perform **zero** allocations — the whole hot path runs out of reused
-//! buffers. A single accidental per-event or per-epoch allocation fails
-//! this test with the exact count.
+//! (where allocation is legitimate: scheduler scratch, telemetry vectors
+//! and the CUs' lazily compacted pending-op lists all size themselves),
+//! steady-state epochs must perform **zero** allocations — the whole hot
+//! path runs out of reused buffers. A single accidental per-event or
+//! per-epoch allocation fails this test with the exact count.
 //!
-//! The probe is also armed so the serial event loop's own
-//! `debug_assert` check (see `Gpu::run_until_serial`) is exercised with
-//! a live counter: it attributes any regression to the event-loop
-//! window rather than the epoch's telemetry tail.
+//! The probe is also armed so the event loop's own `debug_assert` check
+//! (see `Gpu::run_until`) is exercised with a live counter: it attributes
+//! any regression to the event-loop window rather than the epoch's
+//! telemetry tail.
 //!
 //! One `#[test]` only: the counter is process-global, and a second test
 //! thread would bleed its allocations into the measured region.

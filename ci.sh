@@ -77,8 +77,8 @@ git diff --exit-code -- results/table1_storage.md results/table1_storage.csv \
   results/ablation_scope.md results/ablation_scope.csv
 
 # Bit-exactness oracle for the simulator: epoch stats, snapshot bytes and
-# run-to-completion over the Table II suite, plus retimed runs on 64 and
-# 12 CUs and on 8 CUs of 80 wavefront slots, must match the committed
+# run-to-completion over the Table II suite, plus retimed runs on 64, 12
+# and 1 CUs and on 8 CUs of 80 wavefront slots, must match the committed
 # digests line for line.
 echo "==> gpu-sim suite digest (diff against suite_digest.expected)"
 cargo run -q --release -p gpu-sim --example suite_digest \

@@ -2,11 +2,12 @@
 //! full Table II suite: epoch stats and snapshot bytes after six 1 µs
 //! epochs, plus the run-to-completion outcome. A second block repeats the
 //! digest for a few workloads on the 64-CU paper platform, on a 12-CU GPU
-//! (a CU count that is not a power of two) and on 8 CUs of 80 wavefront
+//! (a CU count that is not a power of two), on 8 CUs of 80 wavefront
 //! slots (comd, dgemm and BwdSoft keep more than 64 wavefronts live per
-//! CU, past one 64-bit word of the CU's ready set), with every CU retimed
-//! at each epoch boundary so frequency-transition stalls reschedule CUs
-//! mid-run.
+//! CU, past one 64-bit word of the CU's ready set) and on a single CU
+//! (no other CU ever precedes it, so the event loop runs every one of its
+//! steps ahead of the wake tree), with every CU retimed at each epoch
+//! boundary so frequency-transition stalls reschedule CUs mid-run.
 //!
 //! The digest is the bit-exactness oracle for hot-path work. `ci.sh` diffs
 //! its output against `suite_digest.expected`:
@@ -94,6 +95,7 @@ fn main() {
         ("cus64", GpuConfig::default()),
         ("cus12", GpuConfig { n_cus: 12, ..small }),
         ("slots80", GpuConfig { n_cus: 8, wf_slots: 80, ..small }),
+        ("cus1", GpuConfig { n_cus: 1, ..small }),
     ];
     for (label, cfg) in extra {
         for name in EXTRA_WORKLOADS {

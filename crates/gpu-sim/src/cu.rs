@@ -205,7 +205,7 @@ impl Snapshot for PendingList {
 #[derive(Debug, Default)]
 pub struct CollectScratch {
     rank: Vec<u32>,
-    /// Ready-list scratch for [`Cu::step_with`] in the event loop.
+    /// Ready-list scratch for [`Cu::run_ahead`] in the event loop.
     pub(crate) ready: Vec<u32>,
 }
 
@@ -824,7 +824,7 @@ impl Cu {
         now: Femtos,
     ) -> bool {
         let wg_size = kernel.wg_wavefronts as usize;
-        if self.slots.len() - (self.n_active as usize) < wg_size {
+        if self.free_slots() < wg_size {
             return false;
         }
         let wg_local = self
@@ -875,7 +875,8 @@ impl Cu {
 
     /// Executes one scheduling step at time `now` (which must equal
     /// `next_cycle`), advancing `next_cycle`. Allocates a fresh ready
-    /// list; hot loops use [`Cu::step_with`] with reusable scratch.
+    /// list; the event loop steps through [`Cu::run_ahead`] with reusable
+    /// scratch instead.
     pub fn step(
         &mut self,
         now: Femtos,
@@ -883,20 +884,93 @@ impl Cu {
         app_kernels: &[Kernel],
     ) -> StepOutcome {
         let mut ready = Vec::new();
-        self.step_with(now, mem, app_kernels, &mut ready)
+        let wake = self.collect_ready(now, &mut ready);
+        self.step_selected(now, mem, app_kernels, &ready, wake)
     }
 
-    /// [`Cu::step`] with caller-owned ready-list scratch, so steady-state
-    /// stepping never touches the allocator.
-    pub(crate) fn step_with(
+    /// Number of wavefront slots not occupied. Only this CU's own
+    /// `EndKernel` steps grow it and only a dispatch shrinks it.
+    fn free_slots(&self) -> usize {
+        self.slots.len() - self.n_active as usize
+    }
+
+    /// Steps this CU from its `next_cycle`, which the caller has just taken
+    /// as the event queue's minimum, for as long as doing so cannot change
+    /// the order in which shared state is touched. `runner_up` is the
+    /// earliest `(time, cu)` of every other CU; `dispatch_wg` is the
+    /// workgroup size of the current kernel while it has undispatched
+    /// workgroups (`None` otherwise). `ready` is caller-owned scratch.
+    ///
+    /// A step whose `(time, cu)` is at most `runner_up` runs whatever it
+    /// issues: this CU is still the global minimum, exactly where the
+    /// one-step-per-pop loop would step it. A later step runs only if it is
+    /// CU-local — none of the wavefronts it would issue is at a `Load`,
+    /// `Store` or `EndKernel` — and no other CU's retirement can dispatch
+    /// into this one meanwhile (`dispatch_wg` is `None`, or fewer slots are
+    /// free than a workgroup needs). Such a step reads and writes only this
+    /// CU, so moving it ahead of other CUs' earlier steps changes nothing.
+    ///
+    /// Returns the time and outcome of the last step taken. It stops right
+    /// after a step that retires a wavefront (the caller then runs the
+    /// dispatcher at that time; a straggler that frees slots without
+    /// finishing its workgroup can make the CU dispatch-vulnerable), once
+    /// `next_cycle` reaches `end`, or before the first step that may not
+    /// run ahead.
+    pub(crate) fn run_ahead(
         &mut self,
-        now: Femtos,
+        end: Femtos,
+        runner_up: (Femtos, usize),
+        dispatch_wg: Option<usize>,
         mem: &mut MemSystem,
         app_kernels: &[Kernel],
         ready: &mut Vec<u32>,
-    ) -> StepOutcome {
-        let wake = self.collect_ready(now, ready);
-        self.step_selected(now, mem, app_kernels, ready, wake)
+    ) -> (Femtos, StepOutcome) {
+        let vulnerable = dispatch_wg.is_some_and(|wg| self.free_slots() >= wg);
+        let mut now = self.next_cycle;
+        let mut wake = self.collect_ready(now, ready);
+        loop {
+            let n_active = self.n_active;
+            #[cfg(debug_assertions)]
+            let mem_ops = (self.e_op_mix.loads, self.e_op_mix.stores);
+            let outcome = self.step_selected(now, mem, app_kernels, ready, wake);
+            #[cfg(debug_assertions)]
+            {
+                let shared = self.n_active != n_active
+                    || mem_ops != (self.e_op_mix.loads, self.e_op_mix.stores);
+                debug_assert!(
+                    !shared || (now, self.id) < runner_up,
+                    "CU {} touched shared state at {now} behind runner-up {runner_up:?}",
+                    self.id
+                );
+            }
+            if self.n_active != n_active || self.next_cycle >= end {
+                return (now, outcome);
+            }
+            let last = now;
+            now = self.next_cycle;
+            let ahead = (now, self.id) > runner_up;
+            if ahead && vulnerable {
+                return (last, StepOutcome::default());
+            }
+            wake = self.collect_ready(now, ready);
+            if ahead && self.issues_shared(ready, app_kernels) {
+                return (last, StepOutcome::default());
+            }
+        }
+    }
+
+    /// Whether the step with arbitration input `ready` would issue a
+    /// `Load`, `Store` or `EndKernel`: the ops that reach L2/DRAM or may
+    /// retire a workgroup into the dispatcher.
+    fn issues_shared(&self, ready: &[u32], app_kernels: &[Kernel]) -> bool {
+        ready.iter().take(self.issue_width).any(|&p| {
+            let slot = self.sched_order[p as usize] as usize;
+            let kernel = &app_kernels[self.slots[slot].kernel_idx as usize];
+            matches!(
+                kernel.code[self.wf_pc[slot] as usize],
+                Op::Load { .. } | Op::Store { .. } | Op::EndKernel
+            )
+        })
     }
 
     /// Fills `ready` with the `sched_order` positions of wavefronts ready

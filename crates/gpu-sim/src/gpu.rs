@@ -152,6 +152,18 @@ impl LaunchState {
         }
     }
 
+    /// The current kernel's workgroup size while it still has workgroups
+    /// to dispatch: the slots a CU must have free to receive one. `None`
+    /// once every workgroup is dispatched (or the app is done): the next
+    /// dispatch then waits for the next kernel, which cannot launch while
+    /// any CU still runs a wavefront of this one.
+    fn dispatch_wg(&self, kernels: &[Kernel]) -> Option<usize> {
+        kernels
+            .get(self.kernel_idx)
+            .filter(|k| self.next_wg < k.workgroups)
+            .map(|k| k.wg_wavefronts as usize)
+    }
+
     /// Dispatches as many pending workgroups as fit, round-robin over CUs.
     fn fill_cus(&mut self, t: Femtos, kernels: &[Kernel], cus: &mut [Cu], wake: &mut WakeTree) {
         let kernel = &kernels[self.kernel_idx];
@@ -369,9 +381,13 @@ impl Gpu {
     /// Advances simulation until `end` (exclusive). Events at or after
     /// `end` are left pending, so epochs compose exactly.
     ///
-    /// The event loop: take the earliest `(time, cu)`, step that CU against
-    /// the shared memory system, retire its finished workgroups and
-    /// re-queue it at its new `next_cycle`.
+    /// The event loop: take the earliest `(time, cu)` and let that CU run
+    /// ahead ([`Cu::run_ahead`]) against the shared memory system — every
+    /// step while it is still the global minimum, then CU-local steps
+    /// only — retire its finished workgroups at the time of the step that
+    /// finished them, and re-queue it at its new `next_cycle`. Every L2/DRAM
+    /// access, retirement and dispatch therefore happens in the same
+    /// `(time, cu)` order as stepping one CU per pop (DESIGN.md §11).
     pub fn run_until(&mut self, end: Femtos) {
         // Allocation-freedom gate (debug builds, armed probe only): the
         // steady-state window must not allocate — see `alloc_probe`.
@@ -384,9 +400,18 @@ impl Gpu {
                 break;
             }
             debug_assert_eq!(self.cus[i].next_cycle, t, "wake tree disagrees with CU {i}");
-            let outcome =
-                self.cus[i].step_with(t, &mut self.mem, &app.kernels, &mut self.scratch.ready);
+            let runner_up = self.wake.runner_up(i);
+            let dispatch_wg = self.launch.dispatch_wg(&app.kernels);
+            let (t, outcome) = self.cus[i].run_ahead(
+                end,
+                runner_up,
+                dispatch_wg,
+                &mut self.mem,
+                &app.kernels,
+                &mut self.scratch.ready,
+            );
             for _ in 0..outcome.workgroups_done {
+                debug_assert!((t, i) < runner_up, "CU {i} dispatched at {t} behind {runner_up:?}");
                 self.launch.on_workgroup_done(t, &app.kernels, &mut self.cus, &mut self.wake);
             }
             self.wake.set(i, self.cus[i].next_cycle);
@@ -398,6 +423,12 @@ impl Gpu {
                 "event loop allocated while the probe was armed"
             );
         }
+        // Epoch composition: nothing is left pending before `end`, so a
+        // retime or snapshot between calls sees every CU at or past it.
+        debug_assert!(
+            self.cus.iter().all(|cu| cu.next_cycle >= end),
+            "a CU was left behind the end of run_until at {end}"
+        );
         self.now = end;
     }
 
@@ -419,10 +450,21 @@ impl Gpu {
     /// allocation. Every field of `out` is overwritten; the buffer may come
     /// from [`EpochStats::empty`] or from a previous epoch of any GPU.
     pub fn run_epoch_into(&mut self, duration: Femtos, out: &mut EpochStats) {
+        self.run_epoch_with(duration, out, Gpu::run_until);
+    }
+
+    /// [`Gpu::run_epoch_into`] with the event loop passed in as `advance`:
+    /// [`Gpu::run_until`], or in tests the one-step-per-pop reference loop.
+    fn run_epoch_with(
+        &mut self,
+        duration: Femtos,
+        out: &mut EpochStats,
+        advance: fn(&mut Gpu, Femtos),
+    ) {
         let start = self.now;
         self.begin_epoch();
         let end = start + duration;
-        self.run_until(end);
+        advance(self, end);
         for cu in &mut self.cus {
             cu.flush_accounting(end);
         }
@@ -467,6 +509,17 @@ impl Gpu {
     /// of the deterministic simulation (no wall clock), so a stall
     /// reproduces at the identical simulated time on every rerun.
     pub fn run_metered(&mut self, deadline: Femtos, meter: &mut ProgressMeter) -> RunOutcome {
+        self.run_metered_with(deadline, meter, Gpu::run_until)
+    }
+
+    /// [`Gpu::run_metered`] with the event loop passed in as `advance`, as
+    /// in [`Gpu::run_epoch_with`].
+    fn run_metered_with(
+        &mut self,
+        deadline: Femtos,
+        meter: &mut ProgressMeter,
+        advance: fn(&mut Gpu, Femtos),
+    ) -> RunOutcome {
         const CHUNK: Femtos = Femtos::from_micros(10);
         meter.begin(self.committed_watermark());
         while !self.is_done() && self.now < deadline {
@@ -476,7 +529,7 @@ impl Gpu {
                 // not just a slow patch.
                 return RunOutcome::NoProgress { now: self.now, committed: meter.progressed() };
             }
-            self.run_until((self.now + CHUNK).min(deadline));
+            advance(self, (self.now + CHUNK).min(deadline));
             if meter.observe(self.committed_watermark()) {
                 return RunOutcome::NoProgress { now: self.now, committed: meter.progressed() };
             }
@@ -977,5 +1030,96 @@ mod tests {
         let (c_fast, t_fast) = total(2200);
         assert_eq!(c_slow, c_fast, "work must be conserved");
         assert!(t_fast < t_slow, "higher frequency must finish sooner");
+    }
+
+    /// The event loop `run_until` replaced: step the earliest `(time, cu)`
+    /// once, retire, re-queue. Kept as the oracle for CU run-ahead.
+    fn lockstep_until(gpu: &mut Gpu, end: Femtos) {
+        let app = Arc::clone(&gpu.app);
+        loop {
+            let (t, i) = gpu.wake.min();
+            if t >= end {
+                break;
+            }
+            let outcome = gpu.cus[i].step(t, &mut gpu.mem, &app.kernels);
+            for _ in 0..outcome.workgroups_done {
+                gpu.launch.on_workgroup_done(t, &app.kernels, &mut gpu.cus, &mut gpu.wake);
+            }
+            gpu.wake.set(i, gpu.cus[i].next_cycle);
+        }
+        gpu.now = end;
+    }
+
+    /// An app built by another crate (against the non-test build of this
+    /// one), carried over through its snapshot encoding.
+    fn local_app(app: &impl Snapshot) -> App {
+        let mut w = snapshot::Encoder::new();
+        app.encode(&mut w);
+        App::decode(&mut snapshot::Decoder::new(&w.into_bytes())).expect("app decodes")
+    }
+
+    /// Runs `app` on `cfg` under `run_until` and under [`lockstep_until`]
+    /// for `epochs` 1 µs epochs, every CU retimed (with a 50 ns transition
+    /// stall) at every boundary, requiring equal epoch stats and snapshot
+    /// bytes after each; then runs both to completion in
+    /// [`Gpu::run_metered`]'s 10 µs chunks and requires the same outcome
+    /// and bytes again.
+    fn assert_matches_lockstep(label: &str, cfg: GpuConfig, app: &App, epochs: usize) {
+        let mut fast = Gpu::new(cfg, app.clone());
+        let mut slow = Gpu::new(cfg, app.clone());
+        let mut a = EpochStats::empty();
+        let mut b = EpochStats::empty();
+        for epoch in 0..epochs {
+            for cu in 0..cfg.n_cus {
+                let mhz = [1300, 2200, 1700][(epoch + cu) % 3];
+                fast.set_cu_frequency(cu, Frequency::from_mhz(mhz), Femtos::from_nanos(50));
+                slow.set_cu_frequency(cu, Frequency::from_mhz(mhz), Femtos::from_nanos(50));
+            }
+            fast.run_epoch_with(Femtos::from_micros(1), &mut a, Gpu::run_until);
+            slow.run_epoch_with(Femtos::from_micros(1), &mut b, lockstep_until);
+            assert!(format!("{a:?}") == format!("{b:?}"), "{label}: epoch {epoch} stats");
+            assert!(fast.save_snapshot() == slow.save_snapshot(), "{label}: epoch {epoch} bytes");
+        }
+        let deadline = Femtos::from_micros(100_000);
+        let meter = &mut ProgressMeter::default();
+        let done = fast.run_metered_with(deadline, meter, Gpu::run_until);
+        let meter = &mut ProgressMeter::default();
+        let want = slow.run_metered_with(deadline, meter, lockstep_until);
+        assert_eq!(done, want, "{label}: completion");
+        assert!(done.is_completed(), "{label}: {done:?}");
+        assert!(fast.save_snapshot() == slow.save_snapshot(), "{label}: completion bytes");
+    }
+
+    /// CU run-ahead against the lockstep oracle over every CU count,
+    /// wavefront-slot count and issue width the stopping rule depends on:
+    /// one CU (the runner-up is always beyond the end), CU counts that pad
+    /// the wake tree, occupancy that does and does not leave a
+    /// workgroup's worth of slots free, and single- and multi-kernel apps
+    /// whose workgroups of 1, 2 and 4 wavefronts retire one straggler at a
+    /// time.
+    #[test]
+    fn run_ahead_matches_lockstep_reference() {
+        let registry = |name: &str| {
+            local_app(&workloads::by_name(name, workloads::Scale::Quick).expect("registered"))
+        };
+        let fuzz = |index: u64| local_app(&scenarios::fuzz::generate(0xA11CE, index));
+        let cases = [
+            (1, 8, 1, registry("comd")),
+            (1, 80, 2, fuzz(0)),
+            (3, 40, 2, fuzz(1)),
+            (3, 80, 4, registry("BwdBN")),
+            (5, 8, 3, registry("lulesh")),
+            (5, 40, 1, fuzz(2)),
+            (5, 80, 2, registry("minife")),
+            (16, 40, 4, registry("hacc")),
+            (16, 8, 2, fuzz(3)),
+            (16, 80, 3, registry("pennant")),
+        ];
+        for (n_cus, wf_slots, issue_width, app) in cases {
+            let cfg = GpuConfig { n_cus, wf_slots, issue_width, ..GpuConfig::small() };
+            let label =
+                format!("{} on {n_cus} CUs x {wf_slots} slots, width {issue_width}", app.name);
+            assert_matches_lockstep(&label, cfg, &app, 8);
+        }
     }
 }

@@ -352,6 +352,22 @@ impl WakeTree {
         (node_time(key), key as u32 as usize)
     }
 
+    /// The earliest `(time, cu)` over every CU but `cu`: the minimum over
+    /// the siblings on `cu`'s leaf-to-root path. While `cu` holds the
+    /// minimum, it stays the global minimum for as long as its own key is
+    /// below this one. With no other CU the time is [`IDLE`] and the CU
+    /// past every index.
+    #[inline]
+    pub(crate) fn runner_up(&self, cu: usize) -> (Femtos, usize) {
+        let mut k = self.leaves() + cu;
+        let mut best = u128::MAX;
+        while k > 1 {
+            best = best.min(self.nodes[k ^ 1]);
+            k >>= 1;
+        }
+        (node_time(best), best as u32 as usize)
+    }
+
     /// Sets `cu`'s wake-up to `t` ([`IDLE`] unschedules it). Stops
     /// climbing at the first inner node whose winner is unchanged: every
     /// ancestor above it is then unchanged too.
@@ -494,6 +510,23 @@ mod tests {
                     times[cu] = t;
                     let want = linear_min(&times);
                     assert_eq!(tree.min(), want, "n_cus {n_cus}, seed {seed}, op {op}");
+                    // The runner-up of any CU is the minimum of the others.
+                    let probe = (xorshift(&mut rng) as usize) % n_cus;
+                    let mut others = times.clone();
+                    others[probe] = IDLE;
+                    let (t, i) = linear_min(&others);
+                    let want = if others.iter().all(|&t| t == IDLE) {
+                        // Only padding or unscheduled CUs: the lowest other
+                        // leaf, or none at all.
+                        let leaves = n_cus.next_power_of_two();
+                        (
+                            IDLE,
+                            if leaves == 1 { u32::MAX as usize } else { usize::from(probe == 0) },
+                        )
+                    } else {
+                        (t, i)
+                    };
+                    assert_eq!(tree.runner_up(probe), want, "n_cus {n_cus}, op {op}: runner-up");
                     let scheduled = times.iter().filter(|&&t| t != IDLE).count();
                     assert_eq!(tree.scheduled(), scheduled, "n_cus {n_cus}, op {op}");
                 }

@@ -11,7 +11,8 @@
 //! The probe is also armed so the event loop's own `debug_assert` check
 //! (see `Gpu::run_until`) is exercised with a live counter: it attributes
 //! any regression to the event-loop window rather than the epoch's
-//! telemetry tail.
+//! telemetry tail. That window covers every CU step, `Cu::run_ahead`'s
+//! runs of CU-local steps included, and the dispatcher.
 //!
 //! One `#[test]` only: the counter is process-global, and a second test
 //! thread would bleed its allocations into the measured region.

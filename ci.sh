@@ -84,20 +84,17 @@ echo "==> gpu-sim suite digest (diff against suite_digest.expected)"
 cargo run -q --release -p gpu-sim --example suite_digest \
   | diff crates/gpu-sim/examples/suite_digest.expected -
 
-# Policy-server determinism at the thread-count extremes: the chaos soak
-# (20%-intensity fault storm, hung tenants, torn restore reads, mid-soak
-# kill/recover) pins zero tenants lost, zero missed cap epochs, and
-# bit-identical decision digests at shard counts 1/2/8 — on one inline
-# lane and on 8 workers. The evict/storm/restore fuzz pins restored
-# tenants bit-identical to never-evicted twins.
-echo "==> policy-server chaos soak & evict/restore fuzz @ PCSTALL_THREADS=1"
-PCSTALL_THREADS=1 cargo test -q -p serve --test chaos_soak --test evict_restore
-
-echo "==> policy-server chaos soak & evict/restore fuzz @ PCSTALL_THREADS=8"
-PCSTALL_THREADS=8 cargo test -q -p serve --test chaos_soak --test evict_restore
+# Policy-server chaos soak (20%-intensity fault storm, hung tenants, torn
+# restore reads, mid-soak kill/recover): zero tenants lost, zero missed
+# cap epochs, the pinned decision digest, and the same digest after the
+# kill. The server steps serially and hands no work to the worker pool,
+# so one run covers every PCSTALL_THREADS. The evict/storm/restore fuzz
+# pins restored tenants bit-identical to never-evicted twins.
+echo "==> policy-server chaos soak & evict/restore fuzz"
+cargo test -q -p serve --test chaos_soak --test evict_restore
 
 echo "==> policy-server soak via the CLI (storm + torn reads + kill/recover)"
-cargo run -q --release --bin repro -- serve --tenants 32 --epochs 60 --shards 2 \
+cargo run -q --release --bin repro -- serve --tenants 32 --epochs 60 \
   --faults storm=0.2,seed=9,hang=0.25 --torn 0.25 --kill-at 31
 
 # Scenario-frontend determinism at the thread-count extremes: fuzz apps
@@ -131,17 +128,15 @@ cargo test -q --test malformed_corpus
 echo "==> scenarios smoke bench (trace codec + fuzz/oracle rates)"
 PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench scenarios
 
-# Wire-layer determinism at the thread-count extremes: the PR-8 chaos soak
-# re-run over the faulty duplex shim (disconnects, bit flips, drops,
-# duplicates, delays, splits on every link) must meet the same SLOs and
-# produce a decision digest bit-identical to the in-process path at shard
-# counts 1/2/8, including across a mid-soak gateway kill/recover. The
-# malformed corpus pins every hostile byte stream to a typed rejection.
-echo "==> wire chaos soak & malformed-frame corpus @ PCSTALL_THREADS=1"
-PCSTALL_THREADS=1 cargo test -q -p wire --test wire_chaos --test malformed_corpus
-
-echo "==> wire chaos soak & malformed-frame corpus @ PCSTALL_THREADS=8"
-PCSTALL_THREADS=8 cargo test -q -p wire --test wire_chaos --test malformed_corpus
+# Wire-layer chaos: the policy-server chaos soak re-run over the faulty
+# duplex shim (disconnects, bit flips, drops, duplicates, delays, splits on
+# every link) must meet the same SLOs and produce a decision digest
+# bit-identical to the in-process path, including across a mid-soak
+# gateway kill/recover. The malformed corpus pins every hostile byte
+# stream to a typed rejection. Like the server, the wire layer hands no
+# work to the worker pool, so PCSTALL_THREADS cannot reach it.
+echo "==> wire chaos soak & malformed-frame corpus"
+cargo test -q -p wire --test wire_chaos --test malformed_corpus
 
 echo "==> wire TCP loopback (digest parity, busy shed, idle reap, resume)"
 cargo test -q -p wire --test tcp_loopback

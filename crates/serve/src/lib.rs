@@ -5,8 +5,8 @@
 //! or adversarial. This crate is the service-level framing of that
 //! requirement: a long-running, std-only policy server that manages
 //! thousands of concurrent *sessions*, each holding per-tenant PCSTALL
-//! predictor state (a [`pcstall::pc_table::PcTable`]), sharded across the
-//! existing [`exec::WorkerPool`].
+//! predictor state (a [`pcstall::pc_table::PcTable`]), all stepped
+//! serially on one thread.
 //!
 //! The moving parts, and where they come from:
 //!
@@ -31,19 +31,17 @@
 //! * **Chaos** ([`soak`]) — a seeded soak drives correlated fault storms
 //!   (the `faults` crate's storm profile), hung tenants, and torn snapshot
 //!   reads through the server and asserts the SLOs: zero tenants lost, no
-//!   missed global-cap epoch, and bit-identical decision logs across shard
-//!   counts and across a kill-and-recover mid-soak restart.
+//!   missed global-cap epoch, and a bit-identical decision log across a
+//!   kill-and-recover mid-soak restart.
 //!
 //! ## Determinism
 //!
 //! Every decision is a pure function of the submitted batches and the
-//! server's snapshot state. Per-tenant work runs sharded on the pool, but
-//! each tenant's `observe` step depends only on that tenant's own state
-//! and delivery, and everything cross-tenant (admission, breakers, the
-//! cap arbiter, the decision log) runs in the serial section in ascending
-//! tenant order — so decision logs are bit-identical at any shard count
-//! and any `PCSTALL_THREADS`, which is what makes the chaos soak's
-//! cross-shard digest assertion possible (DESIGN.md §13).
+//! server's snapshot state. Every step of an epoch runs serially in
+//! ascending tenant id, and no server-side draw reads a clock or thread
+//! state, so the chaos soak can pin its decision digest as a constant
+//! and demand it again after a kill-and-recover or over the wire
+//! (DESIGN.md §13).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,33 +1,36 @@
-//! The policy server: admission, sharded epoch stepping, breakers, the
+//! The policy server: admission, serial epoch stepping, breakers, the
 //! global power-cap arbiter, and kill-recoverable state.
 //!
 //! ## Epoch pipeline
+//!
+//! Every step runs serially on the calling thread, and every walk over
+//! tenants goes in ascending tenant id.
 //!
 //! 1. **Drain** the ingest queues (serial; shedding already happened at
 //!    submit time).
 //! 2. **Admit** unknown tenants, restoring evicted ones from the snapshot
 //!    store (torn reads are CRC-detected and retried with seeded backoff
 //!    before falling back to a cold rebuild — the tenant is never lost).
-//! 3. **Breakers** (serial, ascending tenant id): a missed delivery is a
-//!    failure on the tenant's telemetry channel; `threshold` consecutive
-//!    misses trip the breaker. Trips/skips/recoveries are attributed per
-//!    tenant through [`KeyedSupervisionReport`].
-//! 4. **Observe** (sharded): each tenant's session consumes its delivery
-//!    and produces a frequency [`Request`] — pure per-tenant work, so the
-//!    result is independent of the shard count.
-//! 5. **Arbitrate** (serial): a deterministic greedy demotion under the
+//! 3. **Breakers**: a missed delivery is a failure on the tenant's
+//!    telemetry channel; `threshold` consecutive misses trip the breaker.
+//!    Trips/skips/recoveries are attributed per tenant through
+//!    [`KeyedSupervisionReport`].
+//! 4. **Observe**, in the same walk as step 3: each tenant's session
+//!    consumes its delivery, gated by its breaker's open flag, and
+//!    produces a frequency [`Request`].
+//! 5. **Arbitrate**: a deterministic greedy demotion under the
 //!    global power cap. While total predicted power exceeds the cap, the
 //!    tenant whose next demotion costs the least predicted performance
 //!    per watt saved steps down one grid state (ties break toward lower
 //!    priority, then higher id). Degraded tenants — blind, memory-bound,
 //!    flat curves — are the cheapest demotions, which is exactly the
 //!    "redistribute headroom from degraded tenants" policy.
-//! 6. **Commit + log** (serial, ascending tenant id): final choices feed
+//! 6. **Commit + log**: final choices feed
 //!    the per-tenant sessions and the running FNV decision digest.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dvfs::states::FreqStates;
 use exec::WorkerPool;
@@ -42,14 +45,10 @@ use crate::queue::{IngestQueues, ShedStats, SubmitOutcome};
 use crate::session::{Request, Rung, TenantSession};
 use crate::telemetry::{TelemetryBatch, TenantRecord};
 
-/// Server configuration. `shards` is an execution detail: decision logs
-/// are bit-identical at any shard count (see module docs), so it can be
-/// changed freely between runs — and is a parameter of
-/// [`PolicyServer::load_state`], not of the snapshot.
+/// Server configuration. It travels in [`PolicyServer::save_state`]
+/// snapshots, so a recovered server runs under the saved settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// Shard count for the observe step (clamped to ≥ 1).
-    pub shards: usize,
     /// Maximum live (in-memory) tenants before cold ones are evicted.
     pub max_live: usize,
     /// Global ingest queue capacity, in batches.
@@ -72,7 +71,8 @@ pub struct ServerConfig {
     /// Chaos hook: probability that a restore read is torn (a byte of the
     /// stored snapshot is flipped before decoding; the container CRC
     /// detects it). Drawn on `faults::channel::TORN` keyed by
-    /// `(epoch, tenant, attempt)` — shard-count invariant.
+    /// `(epoch, tenant, attempt)`, so the pattern is a pure function of
+    /// the seed.
     pub torn_read_rate: f64,
     /// Seed for every server-side chaos/backoff draw.
     pub seed: u64,
@@ -84,7 +84,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            shards: 1,
             max_live: 1024,
             queue_capacity: 8192,
             tiers: 3,
@@ -122,7 +121,7 @@ impl ServerConfig {
         w.put_u64(self.epoch_us);
     }
 
-    fn decode_from(r: &mut Decoder, shards: usize) -> Result<Self, SnapError> {
+    fn decode_from(r: &mut Decoder) -> Result<Self, SnapError> {
         let max_live = r.take_usize()?;
         let queue_capacity = r.take_usize()?;
         let tiers = r.take_u8()?;
@@ -138,7 +137,6 @@ impl ServerConfig {
             mhz.into_iter().map(gpu_sim::time::Frequency::from_mhz).collect(),
         );
         Ok(ServerConfig {
-            shards,
             max_live,
             queue_capacity,
             tiers,
@@ -171,8 +169,8 @@ pub struct Decision {
 }
 
 /// Running FNV-1a digest over the decision stream — the cheap equality
-/// witness for "bit-identical decision logs" across shard counts and
-/// kill/recover restarts.
+/// witness for "bit-identical decision logs" across kill/recover restarts
+/// and transports, and the value the chaos soak pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecisionLog {
     digest: u64,
@@ -360,12 +358,13 @@ pub struct PolicyServer {
     stats: ServerStats,
     log: DecisionLog,
     epoch: u64,
-    pool: Arc<WorkerPool>,
 }
 
 impl PolicyServer {
-    /// A fresh server on `pool`.
-    pub fn new(cfg: ServerConfig, pool: Arc<WorkerPool>) -> Self {
+    /// A fresh server. It steps every epoch on the calling thread: `pool`
+    /// is unused, kept in the signature only for the benchmark harness,
+    /// which still passes one.
+    pub fn new(cfg: ServerConfig, _pool: Arc<WorkerPool>) -> Self {
         let queues = IngestQueues::new(cfg.tiers, cfg.queue_capacity);
         PolicyServer {
             power: PowerModel::new(PowerConfig::scaled_to(1)),
@@ -379,7 +378,6 @@ impl PolicyServer {
             log: DecisionLog::default(),
             epoch: 0,
             cfg,
-            pool,
         }
     }
 
@@ -542,9 +540,9 @@ impl PolicyServer {
         }
     }
 
-    /// Steps one epoch: drains ingest, admits/restores, updates breakers,
-    /// shards the observe step, arbitrates under the power cap, commits,
-    /// and returns this epoch's decisions in ascending tenant order.
+    /// Steps one epoch: drains ingest, admits/restores, updates breakers
+    /// and observes, arbitrates under the power cap, commits, and returns
+    /// this epoch's decisions in ascending tenant order.
     pub fn run_epoch(&mut self) -> Vec<Decision> {
         let epoch = self.epoch;
         // 1. Drain: per tenant keep the newest record; the tier of the
@@ -582,52 +580,36 @@ impl PolicyServer {
             }
         }
 
-        // 3. Breakers (serial, ascending tenant id).
-        let ids: Vec<u64> = self.live.keys().copied().collect();
-        for &t in &ids {
+        // 3-4. Breakers and observe, one walk in ascending tenant id: each
+        // tenant's delivery (or its absence) feeds its breaker, and the
+        // session observes with the breaker's resulting open flag.
+        let states = &self.cfg.states;
+        let mut requests: BTreeMap<u64, Request> = BTreeMap::new();
+        for (&t, sess) in self.live.iter_mut() {
             let key = tenant_key(t);
-            if inbox.contains_key(&t) {
+            let delivery = inbox.get(&t).map(|(_, rec)| rec);
+            let open = if delivery.is_some() {
                 if self.breaker.is_open(&key) {
                     self.supervision
                         .record(&key, &SupervisionReport { recovered: 1, ..Default::default() });
                 }
                 self.breaker.record_success(&key);
+                false
             } else if self.breaker.record_failure(&key) {
                 self.supervision
                     .record(&key, &SupervisionReport { breaker_trips: 1, ..Default::default() });
-            } else if self.breaker.is_open(&key) {
-                self.supervision
-                    .record(&key, &SupervisionReport { breaker_skips: 1, ..Default::default() });
-            }
-        }
-
-        // 4. Observe, sharded by tenant id. Each shard's work list is
-        // disjoint, mutated behind its own mutex; per-tenant purity makes
-        // the merged result independent of the shard count.
-        let shards = self.cfg.shards.max(1);
-        type ShardItem = (u64, TenantSession, Option<TenantRecord>, bool);
-        let mut work: Vec<Vec<ShardItem>> = (0..shards).map(|_| Vec::new()).collect();
-        let taken = std::mem::take(&mut self.live);
-        for (t, sess) in taken {
-            let delivery = inbox.get(&t).map(|&(_, rec)| rec);
-            let open = self.breaker.is_open(&tenant_key(t));
-            work[(t % shards as u64) as usize].push((t, sess, delivery, open));
-        }
-        let items: Vec<Mutex<Vec<ShardItem>>> = work.into_iter().map(Mutex::new).collect();
-        let states = &self.cfg.states;
-        let sharded: Vec<Vec<(u64, TenantSession, Request)>> = self.pool.map(&items, |m| {
-            let mut list = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            list.drain(..)
-                .map(|(t, mut sess, delivery, open)| {
-                    let req = sess.observe_gated(epoch, delivery.as_ref(), open, states);
-                    (t, sess, req)
-                })
-                .collect()
-        });
-        let mut requests: BTreeMap<u64, Request> = BTreeMap::new();
-        for (t, sess, req) in sharded.into_iter().flatten() {
-            self.live.insert(t, sess);
-            requests.insert(t, req);
+                true
+            } else {
+                let open = self.breaker.is_open(&key);
+                if open {
+                    self.supervision.record(
+                        &key,
+                        &SupervisionReport { breaker_skips: 1, ..Default::default() },
+                    );
+                }
+                open
+            };
+            requests.insert(t, sess.observe_gated(epoch, delivery, open, states));
         }
 
         // 5. Arbitrate under the global power cap (serial).
@@ -683,7 +665,7 @@ impl PolicyServer {
         // Lazy-deletion min-heap of demotion candidates.
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let candidate = |req: &Request, tier: u8, from: usize| -> Option<Demotion> {
+        let candidate = |req: &Request, tenant: u64, tier: u8, from: usize| -> Option<Demotion> {
             if from == 0 {
                 return None;
             }
@@ -694,18 +676,12 @@ impl PolicyServer {
                 return None;
             }
             let loss = (req.curve[from] - req.curve[from - 1]).max(0.0);
-            Some(Demotion {
-                score: loss / watts_saved,
-                tier,
-                tenant: req.tenant,
-                from,
-                watts_saved,
-            })
+            Some(Demotion { score: loss / watts_saved, tier, tenant, from, watts_saved })
         };
         let tier_of = |server: &Self, t: u64| server.live.get(&t).map_or(0, |s| s.tier);
         let mut heap: BinaryHeap<Reverse<Demotion>> = requests
             .iter()
-            .filter_map(|(&t, r)| candidate(r, tier_of(self, t), assignments[&t]))
+            .filter_map(|(&t, r)| candidate(r, t, tier_of(self, t), assignments[&t]))
             .map(Reverse)
             .collect();
         while total > cap {
@@ -720,7 +696,7 @@ impl PolicyServer {
             assignments.insert(d.tenant, d.from - 1);
             total -= d.watts_saved;
             let req = &requests[&d.tenant];
-            if let Some(next) = candidate(req, d.tier, d.from - 1) {
+            if let Some(next) = candidate(req, d.tenant, d.tier, d.from - 1) {
                 heap.push(Reverse(next));
             }
         }
@@ -795,17 +771,12 @@ impl PolicyServer {
         cw.finish()
     }
 
-    /// Rebuilds a server from [`PolicyServer::save_state`] bytes. `shards`
-    /// is free to differ from the saved run — decisions don't depend on it.
-    pub fn load_state(
-        bytes: &[u8],
-        shards: usize,
-        pool: Arc<WorkerPool>,
-    ) -> Result<Self, SnapError> {
+    /// Rebuilds a server from [`PolicyServer::save_state`] bytes.
+    pub fn load_state(bytes: &[u8]) -> Result<Self, SnapError> {
         let cr = ContainerReader::parse(bytes)?;
         let mut r = cr.section("server-meta")?;
         let epoch = r.take_u64()?;
-        let cfg = ServerConfig::decode_from(&mut r, shards)?;
+        let cfg = ServerConfig::decode_from(&mut r)?;
         r.finish()?;
 
         let mut r = cr.section("sessions")?;
@@ -877,7 +848,6 @@ impl PolicyServer {
             stats,
             log,
             epoch,
-            pool,
         })
     }
 }

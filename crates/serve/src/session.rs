@@ -1,16 +1,16 @@
 //! Per-tenant sessions: PCSTALL predictor state plus the degradation
 //! ladder, snapshotable bit-exactly for eviction and kill-recovery.
 //!
-//! A session's epoch step is deliberately split in two so the server can
-//! shard it without losing determinism:
+//! A session's epoch step is split in two around the server's power-cap
+//! arbiter:
 //!
-//! * [`TenantSession::observe`] — runs on a shard lane. Consumes this
+//! * [`TenantSession::observe`] — runs before arbitration. Consumes this
 //!   epoch's delivery (or its absence), updates the PC table, walks the
 //!   ladder, and produces a [`Request`]: the predicted instruction curve
 //!   over the frequency grid plus the frequency the tenant *wants*. Pure
 //!   per-tenant: it touches nothing shared.
-//! * [`TenantSession::commit`] — runs in the server's serial section with
-//!   the arbiter's final (possibly demoted) choice.
+//! * [`TenantSession::commit`] — runs after arbitration with the
+//!   arbiter's final (possibly demoted) choice.
 //!
 //! The rung walk is the [`Ladder`] that `pcstall::resilience::ResilientPolicy`
 //! also steps — hold for [`FallbackConfig::hold_epochs`], then predict
@@ -36,8 +36,6 @@ pub use pcstall::resilience::Rung;
 /// demotion costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Tenant id (echoed for merge bookkeeping).
-    pub tenant: u64,
     /// Predicted instructions at each grid frequency.
     pub curve: Vec<f64>,
     /// Grid index the tenant requests.
@@ -126,8 +124,8 @@ impl TenantSession {
         curve.iter().position(|&i| i >= PERF_KEEP * peak).unwrap_or(curve.len() - 1)
     }
 
-    /// The sharded half of the epoch step (see module docs). `delivery` is
-    /// this epoch's record, if one survived ingest.
+    /// The pre-arbitration half of the epoch step (see module docs).
+    /// `delivery` is this epoch's record, if one survived ingest.
     pub fn observe(
         &mut self,
         epoch: u64,
@@ -141,8 +139,9 @@ impl TenantSession {
     /// rung assumes the blind epoch is a transient blip; an open breaker
     /// says the channel is failing systematically, so blind epochs skip
     /// hold and walk straight to STALL-on-last-good (the overall ladder
-    /// budget before safe-max is unchanged). `breaker_open` is computed in
-    /// the server's serial section, so this stays shard-count invariant.
+    /// budget before safe-max is unchanged). The server updates the
+    /// tenant's breaker with this epoch's delivery before it reads
+    /// `breaker_open`.
     pub fn observe_gated(
         &mut self,
         epoch: u64,
@@ -183,7 +182,7 @@ impl TenantSession {
             // stall on): guarantee performance while blind.
             _ => (Self::curve_of(self.last_model, states), states.len() - 1),
         };
-        Request { tenant: self.id, curve, desired, rung }
+        Request { curve, desired, rung }
     }
 
     /// The serial half of the epoch step: records the arbiter's final

@@ -6,9 +6,9 @@
 //! telemetry is [`crate::telemetry::synth_record`] fed back the server's
 //! own frequency decisions, fault draws come off the counter-based
 //! channels in `faults`, and hang windows are armed up front from the
-//! fault seed. Two soaks with the same config — at *any* shard count, with
-//! or without the kill — must report the same decision digest; the chaos
-//! integration test pins exactly that.
+//! fault seed. Two soaks with the same config — with or without the kill
+//! — must report the same decision digest; the chaos integration test
+//! pins that digest as a constant.
 
 use std::collections::BTreeMap;
 
@@ -31,8 +31,6 @@ pub struct SoakConfig {
     pub tenants: u64,
     /// Epochs to drive.
     pub epochs: u64,
-    /// Server shard count (must not affect decisions).
-    pub shards: usize,
     /// Fault profile for telemetry dropout/staleness; `hang_rate` is
     /// reused as the per-tenant probability of one silent hang window.
     pub faults: FaultConfig,
@@ -62,7 +60,6 @@ impl Default for SoakConfig {
         SoakConfig {
             tenants: 64,
             epochs: 160,
-            shards: 1,
             faults: FaultConfig::default(),
             seed: 42,
             kill_at: None,
@@ -99,15 +96,14 @@ pub struct SoakReport {
     pub tenants: u64,
     /// Epochs driven.
     pub epochs: u64,
-    /// Shard count the server ran with.
-    pub shards: usize,
     /// Resolved global power cap in watts.
     pub power_cap_w: f64,
     /// Whether a mid-soak kill-and-recover happened.
     pub killed: bool,
     /// Tenants that got a silent hang window.
     pub hung_tenants: u64,
-    /// Final decision-log digest (the cross-shard equality witness).
+    /// Final decision-log digest (the kill-recover and wire equality
+    /// witness).
     pub digest: u64,
     /// Decisions behind the digest.
     pub digest_count: u64,
@@ -148,7 +144,6 @@ impl SoakReport {
                 "{{\n",
                 "  \"tenants\": {},\n",
                 "  \"epochs\": {},\n",
-                "  \"shards\": {},\n",
                 "  \"power_cap_w\": {:.3},\n",
                 "  \"killed\": {},\n",
                 "  \"hung_tenants\": {},\n",
@@ -174,7 +169,6 @@ impl SoakReport {
             ),
             self.tenants,
             self.epochs,
-            self.shards,
             self.power_cap_w,
             self.killed,
             self.hung_tenants,
@@ -237,7 +231,6 @@ pub fn server_config_for(cfg: &SoakConfig) -> ServerConfig {
     let states = FreqStates::paper();
     let cap = cfg.resolve_cap(&states);
     ServerConfig {
-        shards: cfg.shards,
         max_live: cfg.max_live.max(1),
         queue_capacity: (cfg.tenants as usize * 2).max(64),
         tiers: cfg.tiers.max(1),
@@ -273,8 +266,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         if cfg.kill_at == Some(e) {
             let bytes = server.save_state();
             drop(server);
-            server = PolicyServer::load_state(&bytes, cfg.shards, global_pool())
-                .expect("soak snapshot must reload");
+            server = PolicyServer::load_state(&bytes).expect("soak snapshot must reload");
             killed = true;
         }
         for t in 0..cfg.tenants {
@@ -312,7 +304,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     SoakReport {
         tenants: cfg.tenants,
         epochs: cfg.epochs,
-        shards: cfg.shards,
         power_cap_w: cap,
         killed,
         hung_tenants: hangs.len() as u64,
@@ -342,16 +333,6 @@ mod tests {
         assert_eq!(r.stats.admitted, 12);
         assert_eq!(r.digest_count, r.stats.decisions);
         assert!(r.stats.rung_normal > 0);
-    }
-
-    #[test]
-    fn soak_digest_is_shard_invariant() {
-        let base = small();
-        let r1 = run_soak(&base);
-        let r8 = run_soak(&SoakConfig { shards: 8, ..base });
-        assert_eq!(r1.digest, r8.digest);
-        assert_eq!(r1.digest_count, r8.digest_count);
-        assert_eq!(r1.stats, r8.stats);
     }
 
     #[test]

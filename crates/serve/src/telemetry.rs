@@ -117,9 +117,9 @@ mod synth_channel {
 /// so server decisions feed back into the telemetry, like a real fleet —
 /// through the same time-dilation identity the estimators assume.
 ///
-/// Pure function of `(seed, tenant, epoch, f_obs)`: the soak's cross-shard
-/// digest equality relies on the driver producing identical streams no
-/// matter how the server is sharded.
+/// Pure function of `(seed, tenant, epoch, f_obs)`: the soak's pinned
+/// digest and its in-process/wire/kill-recover equalities rely on every
+/// driver producing the identical stream.
 pub fn synth_record(seed: u64, tenant: u64, epoch: u64, f_obs: Frequency) -> TenantRecord {
     let d = |chan: u64, x: u64| faults::draw(seed, x, chan, tenant);
     // Tenant personality: phase length 12–28 epochs, peak instruction

@@ -91,7 +91,8 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// A gateway over a fresh policy server.
+    /// A gateway over a fresh policy server. `pool` is passed through to
+    /// [`PolicyServer::new`], which does not use it.
     pub fn new(cfg: ServerConfig, pool: Arc<WorkerPool>, token_seed: u64) -> Self {
         Gateway {
             server: PolicyServer::new(cfg, pool),
@@ -377,15 +378,11 @@ impl Gateway {
     }
 
     /// Rebuilds a gateway from [`Gateway::save_state`] bytes.
-    pub fn load_state(
-        bytes: &[u8],
-        shards: usize,
-        pool: Arc<WorkerPool>,
-    ) -> Result<Self, SnapError> {
+    pub fn load_state(bytes: &[u8]) -> Result<Self, SnapError> {
         use serve::Rung;
         let cr = ContainerReader::parse(bytes)?;
         let mut r = cr.section("wire-server")?;
-        let server = PolicyServer::load_state(r.take_bytes()?, shards, pool)?;
+        let server = PolicyServer::load_state(r.take_bytes()?)?;
         r.finish()?;
 
         let mut r = cr.section("wire-sessions")?;

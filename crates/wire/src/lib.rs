@@ -28,7 +28,7 @@
 //! * **The oracle** ([`soak`]) — the PR-8 chaos soak re-run over the
 //!   wire with transport faults armed. Same SLOs (zero tenants lost,
 //!   zero missed cap epochs), and a decision-log digest bit-identical to
-//!   the in-process path at any shard count (DESIGN.md §15).
+//!   the in-process path (DESIGN.md §15).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -9,9 +9,9 @@
 //! [`faults::stream::stream_action`] — a pure function of `(seed, link,
 //! chunk counter)` — and the server connection state machine processes
 //! the surviving bytes synchronously. The same seed therefore injects the
-//! identical fault pattern at any `PCSTALL_THREADS`, at any shard count,
-//! and across processes, which is what lets the wire chaos soak pin a
-//! decision digest bit-identical to the in-process path.
+//! identical fault pattern on every run and across processes, which is
+//! what lets the wire chaos soak pin a decision digest bit-identical to
+//! the in-process path.
 //!
 //! Chunk counters are per-(client, direction) and survive reconnects, so
 //! a client that redials after a mid-frame disconnect continues the same
@@ -107,10 +107,10 @@ impl ShimNet {
     /// Kills the gateway mid-soak and restores it from its own snapshot,
     /// resetting every open connection (their next operation fails with
     /// `ConnectionReset`, forcing the resilient client's reconnect path).
-    pub fn kill_and_recover(&self, shards: usize) -> Result<(), SnapError> {
+    pub fn kill_and_recover(&self) -> Result<(), SnapError> {
         let mut s = self.shared.borrow_mut();
         let bytes = s.gateway.save_state();
-        let restored = Gateway::load_state(&bytes, shards, exec::global_pool())?;
+        let restored = Gateway::load_state(&bytes)?;
         s.gateway = restored;
         s.generation += 1;
         Ok(())

@@ -17,8 +17,7 @@
 //! and ticks are idempotent reads/steps. So however hostile the
 //! transport, the server's inbox per epoch — and therefore the decision
 //! log digest — is bit-identical to the in-process path. The chaos test
-//! pins exactly that, at shard counts 1/2/8, with a mid-soak
-//! kill-and-recover on top.
+//! pins exactly that, with a mid-soak kill-and-recover on top.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -246,7 +245,6 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport, Exhausted> 
         let net = net.clone();
         let kill_net = net.clone();
         let killed = &mut killed;
-        let shards = soak.shards;
         drive_soak(
             soak,
             cfg.max_attempts,
@@ -256,7 +254,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport, Exhausted> 
             },
             move |e| {
                 if cfg.kill_at == Some(e) {
-                    kill_net.kill_and_recover(shards).expect("gateway snapshot must reload");
+                    kill_net.kill_and_recover().expect("gateway snapshot must reload");
                     *killed = true;
                 }
             },
@@ -269,7 +267,6 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport, Exhausted> 
         let report = SoakReport {
             tenants: soak.tenants,
             epochs: soak.epochs,
-            shards: soak.shards,
             power_cap_w: cap,
             killed,
             hung_tenants: drive.hung_tenants,

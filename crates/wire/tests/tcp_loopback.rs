@@ -107,7 +107,7 @@ fn kill_and_restart_on_new_port_resumes_sessions() {
     // present its resume token, resync `last_seq`, and continue.
     let mut gw = server.stop();
     let bytes = gw.save_state();
-    let restored = Gateway::load_state(&bytes, 1, global_pool()).expect("gateway reload");
+    let restored = Gateway::load_state(&bytes).expect("gateway reload");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind new port");
     let server2 =
         WireServer::start(listener, restored, TcpServerConfig::default()).expect("restart");

@@ -1,10 +1,8 @@
 //! The acceptance oracle for the wire layer: the PR-8 chaos soak re-run
 //! over a faulty transport must meet the same SLOs (zero tenants lost,
 //! zero missed cap epochs) and produce a decision-log digest
-//! bit-identical to the in-process path — at shard counts 1/2/8, with
-//! byte-stream faults armed in both directions, and across a mid-soak
-//! gateway kill-and-recover. ci.sh runs this at `PCSTALL_THREADS=1`
-//! and `=8`.
+//! bit-identical to the in-process path — with byte-stream faults armed
+//! in both directions, and across a mid-soak gateway kill-and-recover.
 
 use faults::stream::StreamFaultConfig;
 use faults::FaultConfig;
@@ -25,9 +23,9 @@ fn chaos() -> SoakConfig {
     }
 }
 
-fn wire_chaos(shards: usize) -> WireSoakConfig {
+fn wire_chaos() -> WireSoakConfig {
     WireSoakConfig {
-        soak: SoakConfig { shards, ..chaos() },
+        soak: chaos(),
         // Transport chaos on every link, both directions: disconnects,
         // bit flips, drops, duplicates, delays, splits.
         stream: StreamFaultConfig::chaos(0.08, 0xD1A1_ED01),
@@ -59,45 +57,42 @@ fn quiet_wire_soak_is_bit_identical_to_in_process() {
 }
 
 #[test]
-fn chaos_wire_soak_matches_in_process_digest_at_shards_1_2_8() {
+fn chaos_wire_soak_matches_in_process_digest() {
     let direct = run_soak(&chaos());
     assert!(direct.slos_met());
-    for shards in [1usize, 2, 8] {
-        let wired =
-            run_wire_soak(&wire_chaos(shards)).expect("chaos transport must not exhaust retries");
-        assert!(wired.slos_met(), "shards {shards}: SLO violation: {:?}", wired.soak.stats);
-        assert_eq!(
-            direct.digest, wired.soak.digest,
-            "shards {shards}: transport faults leaked into the decision stream"
-        );
-        assert_eq!(direct.digest_count, wired.soak.digest_count);
-        assert_eq!(direct.stats, wired.soak.stats, "shards {shards}");
+    let wired = run_wire_soak(&wire_chaos()).expect("chaos transport must not exhaust retries");
+    assert!(wired.slos_met(), "SLO violation: {:?}", wired.soak.stats);
+    assert_eq!(
+        direct.digest, wired.soak.digest,
+        "transport faults leaked into the decision stream"
+    );
+    assert_eq!(direct.digest_count, wired.soak.digest_count);
+    assert_eq!(direct.stats, wired.soak.stats);
 
-        // The adversary must actually have bitten for the pin to mean
-        // anything — every fault class, and the recovery machinery.
-        let t = wired.transport;
-        assert!(t.corrupted > 0, "no corruption fired: {t:?}");
-        assert!(t.dropped > 0, "no drops fired: {t:?}");
-        assert!(t.duplicated > 0, "no duplicates fired: {t:?}");
-        assert!(t.delayed > 0, "no delays fired: {t:?}");
-        assert!(t.split > 0, "no splits fired: {t:?}");
-        assert!(t.disconnects > 0, "no mid-frame disconnects fired: {t:?}");
-        let c = wired.clients;
-        assert!(c.reconnects > 0, "chaos never forced a reconnect: {c:?}");
-        assert!(c.retries > 0, "chaos never forced a retry: {c:?}");
-        assert!(
-            wired.gateway.duplicates + c.resync_acks > 0,
-            "retransmit dedupe never engaged: gw {:?} client {c:?}",
-            wired.gateway
-        );
-        assert_eq!(wired.gateway.bad_tokens, 0, "a legitimate resume token failed auth");
-    }
+    // The adversary must actually have bitten for the pin to mean
+    // anything — every fault class, and the recovery machinery.
+    let t = wired.transport;
+    assert!(t.corrupted > 0, "no corruption fired: {t:?}");
+    assert!(t.dropped > 0, "no drops fired: {t:?}");
+    assert!(t.duplicated > 0, "no duplicates fired: {t:?}");
+    assert!(t.delayed > 0, "no delays fired: {t:?}");
+    assert!(t.split > 0, "no splits fired: {t:?}");
+    assert!(t.disconnects > 0, "no mid-frame disconnects fired: {t:?}");
+    let c = wired.clients;
+    assert!(c.reconnects > 0, "chaos never forced a reconnect: {c:?}");
+    assert!(c.retries > 0, "chaos never forced a retry: {c:?}");
+    assert!(
+        wired.gateway.duplicates + c.resync_acks > 0,
+        "retransmit dedupe never engaged: gw {:?} client {c:?}",
+        wired.gateway
+    );
+    assert_eq!(wired.gateway.bad_tokens, 0, "a legitimate resume token failed auth");
 }
 
 #[test]
 fn wire_soak_survives_gateway_kill_and_recover_mid_storm() {
     let direct = run_soak(&chaos());
-    let killed = run_wire_soak(&WireSoakConfig { kill_at: Some(61), ..wire_chaos(4) })
+    let killed = run_wire_soak(&WireSoakConfig { kill_at: Some(61), ..wire_chaos() })
         .expect("kill/recover must not exhaust retries");
     assert!(killed.killed);
     assert!(killed.slos_met(), "SLO violation after restart: {:?}", killed.soak.stats);

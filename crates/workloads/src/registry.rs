@@ -6,16 +6,14 @@ use gpu_sim::kernel::App;
 /// Problem-size scaling of a workload.
 ///
 /// `Standard` targets ~40–100 µs of simulated execution on the full 64-CU
-/// GPU; `Quick` is for unit tests and fast benches; `Full` doubles the
-/// standard size.
+/// GPU (`repro --full`); `Quick` is the default reduced preset's size and
+/// the one unit tests and fast benches use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
-    /// Reduced size for tests / quick benches.
+    /// Reduced size: the default preset, tests and quick benches.
     Quick,
-    /// Default evaluation size.
+    /// Paper-platform size (`repro --full`).
     Standard,
-    /// Double-size runs.
-    Full,
 }
 
 impl Scale {
@@ -24,7 +22,6 @@ impl Scale {
         match self {
             Scale::Quick => (base / 2).max(16),
             Scale::Standard => base,
-            Scale::Full => base * 2,
         }
     }
 
@@ -34,7 +31,7 @@ impl Scale {
     pub fn trips(self, base: u16) -> u16 {
         match self {
             Scale::Quick => (base / 3).max(2),
-            Scale::Standard | Scale::Full => base,
+            Scale::Standard => base,
         }
     }
 }
@@ -194,7 +191,7 @@ mod tests {
     #[test]
     fn every_workload_builds_and_validates() {
         for w in all() {
-            for scale in [Scale::Quick, Scale::Standard, Scale::Full] {
+            for scale in [Scale::Quick, Scale::Standard] {
                 let app = (w.build)(scale);
                 assert_eq!(app.name, w.name);
                 for k in &app.kernels {
@@ -238,9 +235,7 @@ mod tests {
     fn scaling_changes_workgroup_counts() {
         let q = by_name("comd", Scale::Quick).unwrap();
         let s = by_name("comd", Scale::Standard).unwrap();
-        let f = by_name("comd", Scale::Full).unwrap();
         let wgs = |a: &gpu_sim::kernel::App| a.kernels.iter().map(|k| k.workgroups).sum::<u32>();
         assert!(wgs(&q) < wgs(&s));
-        assert!(wgs(&s) < wgs(&f));
     }
 }

@@ -5,7 +5,7 @@
 //! repro list                           list every experiment id
 //! repro run <id> [--full] [--threads N] [--faults SPEC]   run and archive one
 //! repro all [--full] [--threads N] [--faults SPEC]        run and archive all
-//! repro serve [--tenants N] [--epochs N] [--shards N] [--faults SPEC] ...
+//! repro serve [--tenants N] [--epochs N] [--faults SPEC] ...
 //! repro serve kill-recover [--kill-at E] ...      TCP kill/restart smoke
 //! repro serve --listen ADDR | --connect ADDR [--verify] ...
 //! repro snapshot save <app> [--epochs N] [--full] [--out PATH]
@@ -125,7 +125,7 @@ const EXPERIMENTS: &[(&str, &str, &str, FigureFn)] = &[
 
 /// Every flag `repro` accepts: the ones that take a value, then switches.
 const VALUE_FLAGS: &str = "--faults --deadline --max-retries --apps --threads --snapshot-dir \
-                           --tenants --epochs --shards --max-live --kill-at --torn --seed \
+                           --tenants --epochs --max-live --kill-at --torn --seed \
                            --listen --connect --out --count";
 const SWITCHES: &str = "--full --resume --list-workloads --json --verify --text";
 
@@ -318,17 +318,16 @@ fn list_workloads() {
     use workloads::registry::{all, Scale};
     println!("registered workloads (see also `trace:PATH` and `fuzz:SEED:INDEX` sources):\n");
     println!(
-        "  {:<8} {:<4} {:>7} {:>8} {:>13} {:>12} {:>10}",
-        "name", "cat", "kernels", "launches", "wg quick/std", "/full", "instrs"
+        "  {:<8} {:<4} {:>7} {:>8} {:>13} {:>10}",
+        "name", "cat", "kernels", "launches", "wg quick/std", "instrs"
     );
     for w in all() {
         let quick = (w.build)(Scale::Quick);
         let std_ = (w.build)(Scale::Standard);
-        let full = (w.build)(Scale::Full);
         let wgs = |a: &gpu_sim::kernel::App| a.kernels.iter().map(|k| k.workgroups).sum::<u32>();
         let instrs: usize = quick.kernels.iter().map(gpu_sim::kernel::Kernel::len).sum();
         println!(
-            "  {:<8} {:<4} {:>7} {:>8} {:>13} {:>12} {:>10}",
+            "  {:<8} {:<4} {:>7} {:>8} {:>13} {:>10}",
             w.name,
             match w.category {
                 workloads::registry::Category::Hpc => "HPC",
@@ -337,11 +336,10 @@ fn list_workloads() {
             w.unique_kernels,
             quick.kernels.len(),
             format!("{}/{}", wgs(&quick), wgs(&std_)),
-            format!("/{}", wgs(&full)),
             instrs,
         );
     }
-    println!("\nscales: Quick (tests/benches), Standard (default), Full (--full doubles Standard)");
+    println!("\nscales: Quick (default, 16 CUs; tests/benches), Standard (--full, 64 CUs)");
 }
 
 /// A warmup-grade run configuration on the preset's platform (the policy
@@ -368,8 +366,8 @@ fn warmup_cfg(p: &Preset) -> RunConfig {
 /// token seed derives from `--seed`).
 fn serve_cmd(cli: &Cli, _: &Preset) -> ExitCode {
     const USAGE: &str = "usage: repro serve [kill-recover] [--listen ADDR | --connect ADDR] \
-                         [--tenants N] [--epochs N] [--shards N] \
-                         [--max-live N] [--kill-at E] [--torn RATE] [--seed N] \
+                         [--tenants N] [--epochs N] [--max-live N] \
+                         [--kill-at E] [--torn RATE] [--seed N] \
                          [--faults SPEC] [--threads N] [--verify] [--json]";
     const INT: &str = "a non-negative integer";
     let soak = || -> Result<serve::SoakConfig, String> {
@@ -387,7 +385,6 @@ fn serve_cmd(cli: &Cli, _: &Preset) -> ExitCode {
         Ok(serve::SoakConfig {
             tenants,
             epochs: cli.parsed_or("--epochs", 200, INT)?.max(1),
-            shards: cli.parsed_or("--shards", 1, INT)?.max(1),
             // Default live cap at 3/4 of the fleet: eviction churn on by
             // default, so the restore path is exercised, not just compiled.
             max_live: cli.parsed_or("--max-live", (tenants as usize * 3 / 4).max(1), INT)?,
@@ -419,10 +416,9 @@ fn serve_cmd(cli: &Cli, _: &Preset) -> ExitCode {
     } else {
         let s = &report.stats;
         println!(
-            "policy server soak: {} tenants x {} epochs, {} shard(s), cap {:.1} W{}",
+            "policy server soak: {} tenants x {} epochs, cap {:.1} W{}",
             report.tenants,
             report.epochs,
-            report.shards,
             report.power_cap_w,
             if report.killed { ", killed+recovered mid-soak" } else { "" },
         );
@@ -509,7 +505,6 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
     let drive = {
         let addr = Rc::clone(&addr);
         let srv = Rc::clone(&server);
-        let shards = soak.shards;
         let seed = soak.seed;
         wire::drive_soak(
             &soak,
@@ -536,8 +531,8 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
                     let old = srv.borrow_mut().take().expect("wire server running");
                     let mut gw = old.stop();
                     let bytes = gw.save_state();
-                    let restored = wire::Gateway::load_state(&bytes, shards, exec::global_pool())
-                        .expect("gateway snapshot must reload");
+                    let restored =
+                        wire::Gateway::load_state(&bytes).expect("gateway snapshot must reload");
                     let new = start_wire_server(restored).expect("restart wire server");
                     *addr.borrow_mut() = new.addr();
                     *srv.borrow_mut() = Some(new);

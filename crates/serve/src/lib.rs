@@ -14,11 +14,13 @@
 //!   priority-tiered queues with explicit backpressure. Overload sheds the
 //!   lowest-priority queued work first, and *never silently*: every shed
 //!   decision is counted per tier and surfaced in the server stats.
-//! * **Admission & eviction** ([`server`]) — a cap on live tenants; cold
-//!   tenants are evicted to the PR-4 [`snapshot::SnapshotStore`] and
-//!   restored **bit-exactly** on their next batch (live-migration in
-//!   miniature). Torn reads are detected by the container CRC and walked
-//!   through seeded retry/backoff before falling back to a cold rebuild.
+//! * **Admission & eviction** ([`server`]) — a cap on live tenants; the
+//!   coldest tenants, popped off one victim heap per epoch, are evicted
+//!   into CRC-checked [`snapshot::ContainerWriter`] containers the server
+//!   holds itself, and restored **bit-exactly** on their next batch
+//!   (live-migration in miniature). Torn reads are detected by the
+//!   container CRC and walked through seeded retry/backoff before falling
+//!   back to a cold rebuild.
 //! * **Degradation** ([`session`]) — per-tenant circuit breakers
 //!   ([`supervise::CircuitBreaker`], attributable per tenant through
 //!   [`supervise::KeyedSupervisionReport`]) guard each telemetry channel;

@@ -8,9 +8,11 @@
 //!
 //! 1. **Drain** the ingest queues (serial; shedding already happened at
 //!    submit time).
-//! 2. **Admit** unknown tenants, restoring evicted ones from the snapshot
-//!    store (torn reads are CRC-detected and retried with seeded backoff
-//!    before falling back to a cold rebuild — the tenant is never lost).
+//! 2. **Admit** unknown tenants, restoring evicted ones from the
+//!    containers the server holds for them (torn reads are CRC-detected
+//!    and retried with seeded backoff before falling back to a cold
+//!    rebuild — the tenant is never lost). A full server evicts its
+//!    coldest live tenants, popped off one victim heap built per epoch.
 //! 3. **Breakers**: a missed delivery is a failure on the tenant's
 //!    telemetry channel; `threshold` consecutive misses trip the breaker.
 //!    Trips/skips/recoveries are attributed per tenant through
@@ -28,17 +30,15 @@
 //! 6. **Commit + log**: final choices feed
 //!    the per-tenant sessions and the running FNV decision digest.
 
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use dvfs::states::FreqStates;
 use exec::WorkerPool;
 use pcstall::resilience::FallbackConfig;
 use power::model::{PowerConfig, PowerModel};
-use snapshot::{
-    ContainerReader, ContainerWriter, Decoder, Encoder, SnapError, Snapshot, SnapshotStore,
-};
+use snapshot::{ContainerReader, ContainerWriter, Decoder, Encoder, SnapError, Snapshot};
 use supervise::{Backoff, CircuitBreaker, KeyedSupervisionReport, SupervisionReport};
 
 use crate::queue::{IngestQueues, ShedStats, SubmitOutcome};
@@ -68,9 +68,9 @@ pub struct ServerConfig {
     pub backoff: Backoff,
     /// Restore attempts before a torn tenant is rebuilt cold.
     pub restore_retries: u32,
-    /// Chaos hook: probability that a restore read is torn (a byte of the
-    /// stored snapshot is flipped before decoding; the container CRC
-    /// detects it). Drawn on `faults::channel::TORN` keyed by
+    /// Chaos hook: probability that a restore read is torn (a byte of a
+    /// copy of the held container is flipped before decoding; the
+    /// container CRC detects it). Drawn on `faults::channel::TORN` keyed by
     /// `(epoch, tenant, attempt)`, so the pattern is a pure function of
     /// the seed.
     pub torn_read_rate: f64,
@@ -223,7 +223,7 @@ pub struct ServerStats {
     pub decisions: u64,
     /// Fresh tenants admitted.
     pub admitted: u64,
-    /// Cold tenants evicted to the snapshot store.
+    /// Cold tenants evicted to a held container.
     pub evictions: u64,
     /// Evicted tenants restored bit-exactly.
     pub restores: u64,
@@ -309,15 +309,32 @@ fn tenant_key(t: u64) -> String {
     format!("tenant-{t:08}")
 }
 
+/// This epoch's deliveries: per tenant, the tier it submitted at and its
+/// newest record.
+type Inbox = BTreeMap<u64, (u8, TenantRecord)>;
+
+/// A victim-heap key: the minimum is the coldest live tenant — one with
+/// no delivery this epoch, then the oldest `last_active`, then the
+/// smallest id.
+type ColdKey = Reverse<(bool, u64, u64)>;
+
+/// Decodes a held tenant container; `None` when its CRC or payload is bad.
+fn decode_tenant(bytes: &[u8]) -> Option<TenantSession> {
+    let reader = ContainerReader::parse(bytes).ok()?;
+    let mut dec = reader.section("tenant").ok()?;
+    TenantSession::decode(&mut dec).ok()
+}
+
 /// Demotion candidate for the cap arbiter's lazy heap. Ordered so the
 /// *minimum* is the cheapest demotion: lowest perf-loss per watt saved,
-/// ties to lower priority (higher tier), then higher id. `total_cmp`
-/// keeps the order total and deterministic.
+/// ties to lower priority (higher tier), then higher id (`slot` ascends
+/// with tenant id). `total_cmp` keeps the order total and deterministic.
 #[derive(Debug, Clone, Copy)]
 struct Demotion {
     score: f64,
     tier: u8,
-    tenant: u64,
+    /// The tenant's position in this epoch's ascending live walk.
+    slot: usize,
     from: usize,
     watts_saved: f64,
 }
@@ -338,7 +355,7 @@ impl Ord for Demotion {
         self.score
             .total_cmp(&other.score)
             .then_with(|| other.tier.cmp(&self.tier))
-            .then_with(|| other.tenant.cmp(&self.tenant))
+            .then_with(|| other.slot.cmp(&self.slot))
     }
 }
 
@@ -350,9 +367,8 @@ pub struct PolicyServer {
     power: PowerModel,
     queues: IngestQueues,
     live: BTreeMap<u64, TenantSession>,
-    /// Evicted tenant → snapshot-store key.
-    evicted: BTreeMap<u64, String>,
-    store: SnapshotStore,
+    /// Evicted tenant → its session in a CRC-checked container.
+    evicted: BTreeMap<u64, Vec<u8>>,
     breaker: CircuitBreaker,
     supervision: KeyedSupervisionReport,
     stats: ServerStats,
@@ -369,7 +385,6 @@ impl PolicyServer {
         PolicyServer {
             power: PowerModel::new(PowerConfig::scaled_to(1)),
             breaker: CircuitBreaker::new(cfg.breaker_threshold),
-            store: SnapshotStore::in_memory(usize::MAX),
             queues,
             live: BTreeMap::new(),
             evicted: BTreeMap::new(),
@@ -414,12 +429,12 @@ impl PolicyServer {
         self.live.keys().copied().collect()
     }
 
-    /// Ids of the evicted (stored) tenants, ascending.
+    /// Ids of the evicted (held as containers) tenants, ascending.
     pub fn evicted_ids(&self) -> Vec<u64> {
         self.evicted.keys().copied().collect()
     }
 
-    /// Evicted (stored) tenant count.
+    /// Evicted (held as containers) tenant count.
     pub fn evicted_tenants(&self) -> usize {
         self.evicted.len()
     }
@@ -440,114 +455,90 @@ impl PolicyServer {
         self.queues.submit(batch)
     }
 
-    /// Test/chaos hook: forcibly evicts a live tenant to the store.
-    /// Returns false if the tenant isn't live.
+    /// Test/chaos hook: forcibly evicts a live tenant into a held
+    /// container. Returns false if the tenant isn't live.
     pub fn evict_tenant(&mut self, tenant: u64) -> bool {
         let Some(sess) = self.live.remove(&tenant) else {
             return false;
         };
-        let key = tenant_key(tenant);
+        #[cfg(test)]
+        tests::EVICTIONS.with(|v| v.borrow_mut().push(tenant));
         let mut cw = ContainerWriter::new();
         cw.section("tenant", |w| sess.encode(w));
-        let bytes = cw.finish();
-        // In-memory puts cannot fail; a disk-backed store surfaces write
-        // errors as a lost-tenant SLO violation rather than a panic.
-        if self.store.put(&key, bytes).is_err() {
-            self.stats.lost_tenants += 1;
-            return false;
-        }
-        self.evicted.insert(tenant, key);
+        self.evicted.insert(tenant, cw.finish());
         self.stats.evictions += 1;
         true
     }
 
-    /// Evicts the coldest live tenant (oldest `last_active`, ties to the
-    /// smallest id), preferring tenants with no delivery this epoch.
-    fn evict_coldest(&mut self, inbox: &BTreeMap<u64, (u8, TenantRecord)>) {
-        let victim = self
-            .live
-            .values()
-            .map(|s| (inbox.contains_key(&s.id), s.last_active, s.id))
-            .min()
-            .map(|(_, _, id)| id);
-        if let Some(id) = victim {
-            self.evict_tenant(id);
-        }
-    }
-
-    fn restore_tenant(&mut self, tenant: u64, tier: u8, epoch: u64) {
-        let key = tenant_key(tenant);
+    /// Moves an evicted tenant, taken out of `evicted` with its `held`
+    /// container, back into the live set. A torn read flips a byte of a
+    /// copy of the container, so the CRC catches it and the retry reads
+    /// the intact bytes again.
+    fn restore_tenant(&mut self, tenant: u64, tier: u8, epoch: u64, held: Vec<u8>) {
         let mut attempt = 0u32;
-        loop {
+        let sess = loop {
             attempt += 1;
-            let stored = self.store.get(&key);
-            let decoded = stored.and_then(|mut bytes| {
-                let torn = self.cfg.torn_read_rate > 0.0
-                    && faults::draw(
-                        self.cfg.seed,
-                        epoch,
-                        faults::channel::TORN,
-                        tenant ^ (u64::from(attempt) << 48),
-                    ) < self.cfg.torn_read_rate;
-                if torn && !bytes.is_empty() {
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0xFF;
-                }
-                let reader = ContainerReader::parse(&bytes).ok()?;
-                let mut dec = reader.section("tenant").ok()?;
-                TenantSession::decode(&mut dec).ok()
-            });
-            match decoded {
-                Some(sess) => {
-                    self.live.insert(tenant, sess);
-                    self.evicted.remove(&tenant);
-                    self.stats.restores += 1;
-                    if attempt > 1 {
-                        self.supervision.record(
-                            &key,
-                            &SupervisionReport { recovered: 1, ..Default::default() },
-                        );
-                    }
-                    return;
-                }
-                None => {
-                    self.stats.torn_reads += 1;
-                    if attempt > self.cfg.restore_retries {
-                        // Out of retries: the tenant keeps its identity
-                        // but restarts with a cold predictor. Never lost.
-                        self.stats.rebuilt_cold += 1;
-                        self.supervision.record(
-                            &key,
-                            &SupervisionReport { unrecovered: 1, ..Default::default() },
-                        );
-                        self.live.insert(
-                            tenant,
-                            TenantSession::new(tenant, tier, epoch, self.cfg.ladder),
-                        );
-                        self.evicted.remove(&tenant);
-                        return;
-                    }
+            let torn = self.cfg.torn_read_rate > 0.0
+                && faults::draw(
+                    self.cfg.seed,
+                    epoch,
+                    faults::channel::TORN,
+                    tenant ^ (u64::from(attempt) << 48),
+                ) < self.cfg.torn_read_rate;
+            let decoded = if torn && !held.is_empty() {
+                let mut bytes = held.clone();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xFF;
+                decode_tenant(&bytes)
+            } else {
+                decode_tenant(&held)
+            };
+            if let Some(sess) = decoded {
+                self.stats.restores += 1;
+                if attempt > 1 {
                     self.supervision.record(
-                        &key,
-                        &SupervisionReport {
-                            retries: 1,
-                            backoff_ms: self.cfg.backoff.delay_ms(self.cfg.seed, tenant, attempt),
-                            ..Default::default()
-                        },
+                        &tenant_key(tenant),
+                        &SupervisionReport { recovered: 1, ..Default::default() },
                     );
                 }
+                break sess;
             }
-        }
+            self.stats.torn_reads += 1;
+            if attempt > self.cfg.restore_retries {
+                // Out of retries: the tenant keeps its identity but
+                // restarts with a cold predictor. Never lost.
+                self.stats.rebuilt_cold += 1;
+                self.supervision.record(
+                    &tenant_key(tenant),
+                    &SupervisionReport { unrecovered: 1, ..Default::default() },
+                );
+                break TenantSession::new(tenant, tier, epoch, self.cfg.ladder);
+            }
+            self.supervision.record(
+                &tenant_key(tenant),
+                &SupervisionReport {
+                    retries: 1,
+                    backoff_ms: self.cfg.backoff.delay_ms(self.cfg.seed, tenant, attempt),
+                    ..Default::default()
+                },
+            );
+        };
+        self.live.insert(tenant, sess);
     }
 
     /// Steps one epoch: drains ingest, admits/restores, updates breakers
     /// and observes, arbitrates under the power cap, commits, and returns
     /// this epoch's decisions in ascending tenant order.
     pub fn run_epoch(&mut self) -> Vec<Decision> {
-        let epoch = self.epoch;
-        // 1. Drain: per tenant keep the newest record; the tier of the
-        // highest-priority batch wins (drain order is priority order).
-        let mut inbox: BTreeMap<u64, (u8, TenantRecord)> = BTreeMap::new();
+        let inbox = self.drain();
+        self.admit(&inbox);
+        self.decide(&inbox)
+    }
+
+    /// Step 1, drain: per tenant keep the newest record; the tier of the
+    /// highest-priority batch wins (drain order is priority order).
+    fn drain(&mut self) -> Inbox {
+        let mut inbox = Inbox::new();
         for batch in self.queues.drain() {
             for rec in batch.records {
                 match inbox.get_mut(&batch.tenant) {
@@ -562,29 +553,57 @@ impl PolicyServer {
                 }
             }
         }
+        inbox
+    }
 
-        // 2. Admission (ascending tenant id — deterministic).
-        let arrivals: Vec<(u64, u8)> = inbox.iter().map(|(&t, &(tier, _))| (t, tier)).collect();
-        for (tenant, tier) in arrivals {
+    /// Step 2, admission, in ascending tenant id. A full server evicts the
+    /// coldest live tenant (see [`ColdKey`]) before each arrival. The
+    /// victims come off one min-heap over the live sessions, built the
+    /// first time this epoch needs a victim. Within the loop no live key
+    /// changes, and each tenant that becomes live is pushed with its key
+    /// (it delivered, so `true`), so every pop is the minimum over the
+    /// current live set.
+    fn admit(&mut self, inbox: &Inbox) {
+        let epoch = self.epoch;
+        let mut victims: Option<BinaryHeap<ColdKey>> = None;
+        for (&tenant, &(tier, _)) in inbox {
             if self.live.contains_key(&tenant) {
                 continue;
             }
             while self.live.len() >= self.cfg.max_live.max(1) {
-                self.evict_coldest(&inbox);
+                let heap = victims.get_or_insert_with(|| {
+                    self.live
+                        .values()
+                        .map(|s| Reverse((inbox.contains_key(&s.id), s.last_active, s.id)))
+                        .collect()
+                });
+                let Reverse((_, _, id)) =
+                    heap.pop().expect("the victim heap holds every live tenant");
+                self.evict_tenant(id);
             }
-            if self.evicted.contains_key(&tenant) {
-                self.restore_tenant(tenant, tier, epoch);
+            if let Some(held) = self.evicted.remove(&tenant) {
+                self.restore_tenant(tenant, tier, epoch, held);
             } else {
                 self.live.insert(tenant, TenantSession::new(tenant, tier, epoch, self.cfg.ladder));
                 self.stats.admitted += 1;
             }
+            if let Some(heap) = &mut victims {
+                heap.push(Reverse((true, self.live[&tenant].last_active, tenant)));
+            }
         }
+    }
 
+    /// Steps 3–6 over the admitted live set; returns the decisions in
+    /// ascending tenant order.
+    fn decide(&mut self, inbox: &Inbox) -> Vec<Decision> {
+        let epoch = self.epoch;
         // 3-4. Breakers and observe, one walk in ascending tenant id: each
         // tenant's delivery (or its absence) feeds its breaker, and the
         // session observes with the breaker's resulting open flag.
+        // `requests` (and the arbiter's assignments) are parallel to this
+        // walk.
         let states = &self.cfg.states;
-        let mut requests: BTreeMap<u64, Request> = BTreeMap::new();
+        let mut requests = Vec::with_capacity(self.live.len());
         for (&t, sess) in self.live.iter_mut() {
             let key = tenant_key(t);
             let delivery = inbox.get(&t).map(|(_, rec)| rec);
@@ -609,7 +628,7 @@ impl PolicyServer {
                 }
                 open
             };
-            requests.insert(t, sess.observe_gated(epoch, delivery, open, states));
+            requests.push(sess.observe_gated(epoch, delivery, open, states));
         }
 
         // 5. Arbitrate under the global power cap (serial).
@@ -617,12 +636,9 @@ impl PolicyServer {
 
         // 6. Commit + log (serial, ascending tenant id).
         let mut out = Vec::with_capacity(requests.len());
-        for (&t, req) in &requests {
-            let idx = assignments[&t];
+        for (((&t, sess), req), &idx) in self.live.iter_mut().zip(&requests).zip(&assignments) {
             let predicted = req.curve.get(idx).copied().unwrap_or(0.0);
-            if let Some(sess) = self.live.get_mut(&t) {
-                sess.commit(idx, predicted);
-            }
+            sess.commit(idx, predicted);
             match req.rung {
                 Rung::Normal => self.stats.rung_normal += 1,
                 Rung::Hold => self.stats.rung_hold += 1,
@@ -652,20 +668,20 @@ impl PolicyServer {
         self.power.cu_power_w(self.cfg.states.as_slice()[idx], ips)
     }
 
-    fn arbitrate(&mut self, requests: &BTreeMap<u64, Request>) -> BTreeMap<u64, usize> {
-        let mut assignments: BTreeMap<u64, usize> =
-            requests.iter().map(|(&t, r)| (t, r.desired.min(self.cfg.states.len() - 1))).collect();
+    /// The grid index each request gets, parallel to `requests` (one per
+    /// live tenant, ascending id).
+    fn arbitrate(&mut self, requests: &[Request]) -> Vec<usize> {
+        let mut assignments: Vec<usize> =
+            requests.iter().map(|r| r.desired.min(self.cfg.states.len() - 1)).collect();
         let cap = self.cfg.power_cap_w;
         let mut total: f64 =
-            requests.iter().map(|(&t, r)| self.tenant_power(&r.curve, assignments[&t])).sum();
+            requests.iter().zip(&assignments).map(|(r, &a)| self.tenant_power(&r.curve, a)).sum();
         if total <= cap {
             self.stats.cap_epochs_met += 1;
             return assignments;
         }
         // Lazy-deletion min-heap of demotion candidates.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let candidate = |req: &Request, tenant: u64, tier: u8, from: usize| -> Option<Demotion> {
+        let candidate = |req: &Request, slot: usize, tier: u8, from: usize| -> Option<Demotion> {
             if from == 0 {
                 return None;
             }
@@ -676,12 +692,13 @@ impl PolicyServer {
                 return None;
             }
             let loss = (req.curve[from] - req.curve[from - 1]).max(0.0);
-            Some(Demotion { score: loss / watts_saved, tier, tenant, from, watts_saved })
+            Some(Demotion { score: loss / watts_saved, tier, slot, from, watts_saved })
         };
-        let tier_of = |server: &Self, t: u64| server.live.get(&t).map_or(0, |s| s.tier);
         let mut heap: BinaryHeap<Reverse<Demotion>> = requests
             .iter()
-            .filter_map(|(&t, r)| candidate(r, t, tier_of(self, t), assignments[&t]))
+            .zip(self.live.values())
+            .enumerate()
+            .filter_map(|(i, (r, s))| candidate(r, i, s.tier, assignments[i]))
             .map(Reverse)
             .collect();
         while total > cap {
@@ -690,13 +707,12 @@ impl PolicyServer {
                 self.stats.cap_epochs_missed += 1;
                 return assignments;
             };
-            if assignments[&d.tenant] != d.from {
+            if assignments[d.slot] != d.from {
                 continue; // stale entry
             }
-            assignments.insert(d.tenant, d.from - 1);
+            assignments[d.slot] = d.from - 1;
             total -= d.watts_saved;
-            let req = &requests[&d.tenant];
-            if let Some(next) = candidate(req, d.tenant, d.tier, d.from - 1) {
+            if let Some(next) = candidate(&requests[d.slot], d.slot, d.tier, d.from - 1) {
                 heap.push(Reverse(next));
             }
         }
@@ -708,7 +724,7 @@ impl PolicyServer {
     /// breaker, supervision, queues, stats, and the decision digest — into
     /// one CRC-checked container. Restoring with [`PolicyServer::load_state`]
     /// continues the decision stream bit-exactly.
-    pub fn save_state(&mut self) -> Vec<u8> {
+    pub fn save_state(&self) -> Vec<u8> {
         let mut cw = ContainerWriter::new();
         let cfg = &self.cfg;
         let epoch = self.epoch;
@@ -723,18 +739,14 @@ impl PolicyServer {
                 sess.encode(w);
             }
         });
-        // Evicted tenants: pull their stored bytes back out so the whole
-        // fleet travels in one artifact.
-        let evicted: Vec<(u64, String, Vec<u8>)> = self
-            .evicted
-            .iter()
-            .map(|(&t, key)| (t, key.clone(), self.store.get(key).unwrap_or_default()))
-            .collect();
+        // Evicted tenants travel as their held containers, each under its
+        // tenant key, so the whole fleet is one artifact.
+        let evicted = &self.evicted;
         cw.section("evicted", |w| {
             w.put_usize(evicted.len());
-            for (t, key, bytes) in &evicted {
-                w.put_u64(*t);
-                w.put_str(key);
+            for (&t, bytes) in evicted {
+                w.put_u64(t);
+                w.put_str(&tenant_key(t));
                 w.put_bytes(bytes);
             }
         });
@@ -791,15 +803,10 @@ impl PolicyServer {
         let mut r = cr.section("evicted")?;
         let n = r.take_usize()?;
         let mut evicted = BTreeMap::new();
-        let mut store = SnapshotStore::in_memory(usize::MAX);
         for _ in 0..n {
             let t = r.take_u64()?;
-            let key = r.take_str()?;
-            let payload = r.take_bytes()?;
-            store
-                .put(key, payload.to_vec())
-                .map_err(|e| SnapError::Invalid(format!("store rebuild: {e}")))?;
-            evicted.insert(t, key.to_string());
+            r.take_str()?; // the tenant key; `t` alone identifies the tenant
+            evicted.insert(t, r.take_bytes()?.to_vec());
         }
         r.finish()?;
 
@@ -842,7 +849,6 @@ impl PolicyServer {
             queues,
             live,
             evicted,
-            store,
             breaker,
             supervision: KeyedSupervisionReport { total, per_key },
             stats,
@@ -888,4 +894,172 @@ fn decode_report(r: &mut Decoder) -> Result<SupervisionReport, SnapError> {
         unrecovered: r.take_u64()?,
         backoff_ms: r.take_u64()?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use gpu_sim::time::Frequency;
+
+    use super::*;
+    use crate::telemetry::synth_record;
+
+    thread_local! {
+        /// Every tenant [`PolicyServer::evict_tenant`] evicts on this
+        /// thread, in order.
+        pub(super) static EVICTIONS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Private draw channel for the schedules' silences, disjoint from
+    /// `faults::channel` and the workload-synthesis channels.
+    const SILENCE: u64 = 0x32;
+
+    impl PolicyServer {
+        /// The reference victim choice: a linear scan for the coldest live
+        /// tenant, repeated for every eviction.
+        fn evict_coldest(&mut self, inbox: &Inbox) {
+            let victim = self
+                .live
+                .values()
+                .map(|s| (inbox.contains_key(&s.id), s.last_active, s.id))
+                .min()
+                .map(|(_, _, id)| id);
+            if let Some(id) = victim {
+                self.evict_tenant(id);
+            }
+        }
+
+        /// [`PolicyServer::run_epoch`] with admission on the reference
+        /// victim choice.
+        fn run_epoch_linear(&mut self) -> Vec<Decision> {
+            let inbox = self.drain();
+            let epoch = self.epoch;
+            for (&tenant, &(tier, _)) in &inbox {
+                if self.live.contains_key(&tenant) {
+                    continue;
+                }
+                while self.live.len() >= self.cfg.max_live.max(1) {
+                    self.evict_coldest(&inbox);
+                }
+                if let Some(held) = self.evicted.remove(&tenant) {
+                    self.restore_tenant(tenant, tier, epoch, held);
+                } else {
+                    self.live
+                        .insert(tenant, TenantSession::new(tenant, tier, epoch, self.cfg.ladder));
+                    self.stats.admitted += 1;
+                }
+            }
+            self.decide(&inbox)
+        }
+    }
+
+    /// One admission schedule.
+    struct Schedule {
+        tenants: u64,
+        max_live: usize,
+        epochs: u64,
+        /// Tenant `t` first submits at epoch `t / arrivals_per_epoch`
+        /// (0: every tenant from epoch 0).
+        arrivals_per_epoch: u64,
+        /// Tenant `t` is silent in epoch `e` when `(t + e) % rotate == 0`.
+        rotate: u64,
+        /// Extra seeded silence probability per tenant and epoch.
+        silence: f64,
+        torn_read_rate: f64,
+        restore_retries: u32,
+        seed: u64,
+    }
+
+    /// Drives `s` through the heap admission and the linear reference in
+    /// lockstep; returns the heap server's stats.
+    fn same_victims(s: &Schedule) -> ServerStats {
+        let cfg = ServerConfig {
+            max_live: s.max_live,
+            torn_read_rate: s.torn_read_rate,
+            restore_retries: s.restore_retries,
+            seed: s.seed,
+            ..ServerConfig::default()
+        };
+        let pool = || Arc::new(WorkerPool::new(1));
+        let mut heap = PolicyServer::new(cfg.clone(), pool());
+        let mut linear = PolicyServer::new(cfg, pool());
+        let states = FreqStates::paper();
+        let mut cur = vec![states.min(); s.tenants as usize];
+        for e in 0..s.epochs {
+            for t in 0..s.tenants {
+                let arrived = s.arrivals_per_epoch == 0 || t / s.arrivals_per_epoch <= e;
+                let silent =
+                    (t + e) % s.rotate == 0 || faults::draw(s.seed, e, SILENCE, t) < s.silence;
+                if !arrived || silent {
+                    continue;
+                }
+                let rec = synth_record(s.seed, t, e, cur[t as usize]);
+                let batch = TelemetryBatch { tenant: t, tier: (t % 3) as u8, records: vec![rec] };
+                heap.submit(batch.clone());
+                linear.submit(batch);
+            }
+            let take = || EVICTIONS.with(|v| std::mem::take(&mut *v.borrow_mut()));
+            let a = heap.run_epoch();
+            let victims_a = take();
+            let b = linear.run_epoch_linear();
+            let victims_b = take();
+            assert_eq!(victims_a, victims_b, "seed {} epoch {e}: victims differ", s.seed);
+            assert_eq!(a, b, "seed {} epoch {e}: decisions differ", s.seed);
+            assert_eq!(heap.live_ids(), linear.live_ids(), "seed {} epoch {e}", s.seed);
+            assert_eq!(heap.evicted_ids(), linear.evicted_ids(), "seed {} epoch {e}", s.seed);
+            for d in &a {
+                cur[d.tenant as usize] = Frequency::from_mhz(d.freq_mhz);
+            }
+        }
+        assert_eq!(heap.stats(), linear.stats());
+        assert_eq!(heap.decision_log(), linear.decision_log());
+        heap.stats()
+    }
+
+    #[test]
+    fn victim_heap_evicts_exactly_the_repeated_linear_minimum() {
+        let base = Schedule {
+            tenants: 24,
+            max_live: 16,
+            epochs: 60,
+            arrivals_per_epoch: 0,
+            rotate: 4,
+            silence: 0.1,
+            torn_read_rate: 0.0,
+            restore_retries: 3,
+            seed: 0,
+        };
+        for seed in 0..4 {
+            // Silent rotations: a quarter of the fleet goes quiet each
+            // epoch and the returning tenants displace them.
+            let st = same_victims(&Schedule { seed, ..base });
+            assert!(st.evictions > 0 && st.restores > 0, "{st:?}");
+            // Fresh arrivals past `max_live`: two new tenants per epoch.
+            let st = same_victims(&Schedule {
+                tenants: 48,
+                max_live: 12,
+                arrivals_per_epoch: 2,
+                seed,
+                ..base
+            });
+            assert_eq!(st.admitted, 48, "{st:?}");
+            // One live slot: every arrival evicts, and a victim can be
+            // restored later in the same admission pass.
+            let st = same_victims(&Schedule {
+                tenants: 5,
+                max_live: 1,
+                rotate: 3,
+                silence: 0.3,
+                seed,
+                ..base
+            });
+            assert!(st.evictions > st.restores / 2, "{st:?}");
+            // Torn reads with a single retry: some tenants are rebuilt
+            // cold mid-admission.
+            let st =
+                same_victims(&Schedule { torn_read_rate: 0.6, restore_retries: 1, seed, ..base });
+            assert!(st.torn_reads > 0 && st.rebuilt_cold > 0, "{st:?}");
+        }
+    }
 }

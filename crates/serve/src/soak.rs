@@ -11,9 +11,10 @@
 //! pins that digest as a constant.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dvfs::states::FreqStates;
-use exec::global_pool;
+use exec::WorkerPool;
 use faults::{channel, FaultConfig, FaultInjector, TelemetryEvent};
 use gpu_sim::time::Frequency;
 use pcstall::resilience::FallbackConfig;
@@ -40,7 +41,7 @@ pub struct SoakConfig {
     /// this epoch.
     pub kill_at: Option<u64>,
     /// Live-tenant cap; below `tenants` this forces continuous
-    /// evict/restore churn through the snapshot store.
+    /// evict/restore churn through the server's held containers.
     pub max_live: usize,
     /// Priority tiers; tenant `t` submits at tier `t % tiers`.
     pub tiers: u8,
@@ -250,7 +251,7 @@ pub fn server_config_for(cfg: &SoakConfig) -> ServerConfig {
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let states = FreqStates::paper();
     let cap = cfg.resolve_cap(&states);
-    let mut server = PolicyServer::new(server_config_for(cfg), global_pool());
+    let mut server = PolicyServer::new(server_config_for(cfg), Arc::new(WorkerPool::new(1)));
     let mut injector = FaultInjector::new(cfg.faults);
     let hangs = arm_hangs(cfg);
 

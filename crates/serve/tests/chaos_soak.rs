@@ -12,7 +12,7 @@ fn chaos() -> SoakConfig {
         tenants: 48,
         epochs: 120,
         // Below the fleet size: continuous evict/restore churn through
-        // the snapshot store, so torn reads have something to tear.
+        // held containers, so torn reads have something to tear.
         max_live: 36,
         torn_read_rate: 0.25,
         faults: FaultConfig { hang_rate: 0.25, ..FaultConfig::storm(0.2, 0x00C0_FFEE) },

@@ -110,9 +110,9 @@ impl From<SubmitOutcome> for WireOutcome {
 pub enum NoticeKind {
     /// Tenant admitted for the first time.
     Admitted,
-    /// Tenant evicted to the snapshot store.
+    /// Tenant evicted into a container the server holds.
     Evicted,
-    /// Evicted tenant restored bit-exactly from the store.
+    /// Evicted tenant restored bit-exactly from its container.
     Restored,
 }
 

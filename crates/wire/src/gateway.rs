@@ -318,7 +318,7 @@ impl Gateway {
     /// churn sets, and token seed — into one CRC-checked container.
     /// Restoring with [`Gateway::load_state`] continues the decision
     /// stream bit-exactly and keeps every outstanding resume token valid.
-    pub fn save_state(&mut self) -> Vec<u8> {
+    pub fn save_state(&self) -> Vec<u8> {
         let server_bytes = self.server.save_state();
         let mut cw = ContainerWriter::new();
         cw.section("wire-server", |w| w.put_bytes(&server_bytes));

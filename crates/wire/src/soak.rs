@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use dvfs::states::FreqStates;
 use faults::stream::StreamFaultConfig;
@@ -231,7 +232,11 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport, Exhausted> 
     let soak = &cfg.soak;
     let states = FreqStates::paper();
     let cap = soak.resolve_cap(&states);
-    let gateway = Gateway::new(server_config_for(soak), exec::global_pool(), token_seed_for(soak));
+    let gateway = Gateway::new(
+        server_config_for(soak),
+        Arc::new(exec::WorkerPool::new(1)),
+        token_seed_for(soak),
+    );
     let net = ShimNet::new(gateway, cfg.stream);
 
     let ccfg = ClientConfig {

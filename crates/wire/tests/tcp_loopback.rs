@@ -105,7 +105,7 @@ fn kill_and_restart_on_new_port_resumes_sessions() {
     // whole front-end down, and bring a restored gateway up on a NEW
     // port. The client's next operation must reconnect (new dialer),
     // present its resume token, resync `last_seq`, and continue.
-    let mut gw = server.stop();
+    let gw = server.stop();
     let bytes = gw.save_state();
     let restored = Gateway::load_state(&bytes).expect("gateway reload");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind new port");

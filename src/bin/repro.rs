@@ -70,7 +70,20 @@ use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Shadows std's `println!` for this binary: it exits quietly once stdout
+/// is closed, so `repro --list-workloads | head -5` ends without a panic
+/// when `head` stops reading.
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if writeln!(std::io::stdout(), $($arg)*).is_err() {
+            std::process::exit(0);
+        }
+    }};
+}
 
 type FigureFn = fn(&Preset) -> FigureResult;
 type CommandFn = fn(&Cli, &Preset) -> ExitCode;
@@ -491,7 +504,7 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
 
     let gw = wire::Gateway::new(
         serve::server_config_for(&soak),
-        exec::global_pool(),
+        Arc::new(exec::WorkerPool::new(1)),
         wire::token_seed_for(&soak),
     );
     let server = match start_wire_server(gw) {
@@ -529,7 +542,7 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
             move |e| {
                 if e == kill_epoch {
                     let old = srv.borrow_mut().take().expect("wire server running");
-                    let mut gw = old.stop();
+                    let gw = old.stop();
                     let bytes = gw.save_state();
                     let restored =
                         wire::Gateway::load_state(&bytes).expect("gateway snapshot must reload");
@@ -606,7 +619,7 @@ fn serve_listen(cfg: &serve::SoakConfig, addr: &str) -> ExitCode {
     };
     let gw = wire::Gateway::new(
         serve::server_config_for(cfg),
-        exec::global_pool(),
+        Arc::new(exec::WorkerPool::new(1)),
         wire::token_seed_for(cfg),
     );
     let server = match wire::WireServer::start(listener, gw, wire::TcpServerConfig::default()) {

@@ -91,3 +91,19 @@ fn fuzz_reports_the_three_property_oracles() {
     let text = stdout(&out);
     assert!(text.contains("through 3 property oracles"), "{text}");
 }
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    // `repro --list-workloads | head -5` with `head` already gone: the
+    // read end is closed before `repro` writes its first line.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list-workloads")
+        .stdout(writer)
+        .output()
+        .expect("repro starts");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "repro panicked on a closed stdout:\n{err}");
+    assert!(out.status.success(), "{:?}\n{err}", out.status);
+}

@@ -128,16 +128,19 @@ cargo test -q --test malformed_corpus
 echo "==> scenarios smoke bench (trace codec + fuzz/oracle rates)"
 PCSTALL_BENCH_SMOKE=1 cargo bench -p bench --bench scenarios
 
-# Wire-layer chaos: the policy-server chaos soak re-run over the faulty
-# duplex shim (disconnects, bit flips, drops, duplicates, delays, splits on
-# every link) must meet the same SLOs and produce a decision digest
-# bit-identical to the in-process path, including across a mid-soak
-# gateway kill/recover. The malformed corpus pins every hostile byte
-# stream to a typed rejection. Like the server, the wire layer hands no
-# work to the worker pool, so PCSTALL_THREADS cannot reach it.
+# Wire-layer chaos: the one soak loop, serve::drive_soak, run through a
+# wire::ClientFleet over the faulty duplex shim (disconnects, bit flips,
+# drops, duplicates, delays, splits on every link) must meet the same SLOs
+# and produce a decision digest bit-identical to the in-process run of the
+# same loop, including across a mid-soak gateway kill/recover. The
+# malformed corpus pins every hostile byte stream to a typed rejection.
+# Like the server, the wire layer hands no work to the worker pool, so
+# PCSTALL_THREADS cannot reach it.
 echo "==> wire chaos soak & malformed-frame corpus"
 cargo test -q -p wire --test wire_chaos --test malformed_corpus
 
+# The same serve::drive_soak loop over a real TCP loopback through a
+# wire::ClientFleet: its digest must equal the in-process soak's.
 echo "==> wire TCP loopback (digest parity, busy shed, idle reap, resume)"
 cargo test -q -p wire --test tcp_loopback
 

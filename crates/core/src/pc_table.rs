@@ -166,11 +166,6 @@ impl PcTable {
         }
     }
 
-    /// Lookup without touching the hit/miss counters.
-    pub fn peek(&self, pc: Pc) -> Option<LinearModel> {
-        self.entries[self.index(pc)]
-    }
-
     /// Lifetime hit count.
     pub fn hits(&self) -> u64 {
         self.hits

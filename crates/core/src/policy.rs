@@ -745,11 +745,6 @@ impl PolicyKind {
         ]
     }
 
-    /// The static baselines used in the evaluation (1.3 / 1.7 / 2.2 GHz).
-    pub fn statics() -> Vec<PolicyKind> {
-        vec![PolicyKind::Static(1300), PolicyKind::Static(1700), PolicyKind::Static(2200)]
-    }
-
     /// Extended designs beyond the paper's Table III (used by the
     /// extension benches).
     pub fn extensions() -> Vec<PolicyKind> {

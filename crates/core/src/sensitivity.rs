@@ -46,11 +46,6 @@ impl LinearModel {
         (self.i0 + self.s * f.mhz() as f64).max(0.0)
     }
 
-    /// Whether the model predicts no work at all.
-    pub fn is_zero(&self) -> bool {
-        self.i0 == 0.0 && self.s == 0.0
-    }
-
     /// Scales the model by a constant factor.
     pub fn scaled(self, k: f64) -> Self {
         LinearModel { i0: self.i0 * k, s: self.s * k }

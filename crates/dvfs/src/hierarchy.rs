@@ -98,11 +98,6 @@ impl PowerCapManager {
         self.full.prefix(self.hi + 1)
     }
 
-    /// Index of the highest allowed state within the full set.
-    pub fn ceiling_index(&self) -> usize {
-        self.hi
-    }
-
     /// Feeds one epoch's chip energy; at interval boundaries compares
     /// average power to the budget and adjusts the allowed range.
     pub fn record_epoch(&mut self, energy_j: f64, duration: Femtos) -> CapAction {

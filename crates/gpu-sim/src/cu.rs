@@ -776,11 +776,6 @@ impl Cu {
         self.e_committed
     }
 
-    /// Whether any live wavefront is resident.
-    pub fn has_work(&self) -> bool {
-        !self.sched_order.is_empty()
-    }
-
     /// Number of live wavefronts.
     pub fn live_wavefronts(&self) -> u32 {
         self.sched_order.len() as u32

@@ -220,12 +220,6 @@ impl Frequency {
         self.0
     }
 
-    /// The frequency in GHz as a float.
-    #[inline]
-    pub fn ghz(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
-
     /// The frequency in Hz as a float.
     #[inline]
     pub fn hz(self) -> f64 {

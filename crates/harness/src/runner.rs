@@ -10,13 +10,11 @@ use crate::session::{
 use dvfs::epoch::EpochConfig;
 use dvfs::objective::Objective;
 use dvfs::states::FreqStates;
-use exec::WorkerPool;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::kernel::App;
 use pcstall::policy::PolicyKind;
 use power::energy::RunMetrics;
 use power::model::{PowerConfig, PowerModel};
-use std::sync::Arc;
 
 /// Configuration of one policy-controlled run.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,7 +198,7 @@ impl RunResult {
 /// Runs `app` to completion (or the epoch cap) under `cfg`'s policy.
 /// Oracle sampling uses the process-global [`exec::WorkerPool`].
 pub fn run(app: &App, cfg: &RunConfig) -> RunResult {
-    run_inner(app, cfg, false, None, None).expect("no cancel predicate, so the run cannot preempt")
+    run_inner(app, cfg, false, None).expect("no cancel predicate, so the run cannot preempt")
 }
 
 /// What a deadline-preempted run leaves behind: enough to avoid redoing
@@ -231,36 +229,24 @@ pub fn run_preemptible(
     cfg: &RunConfig,
     cancelled: &dyn Fn() -> bool,
 ) -> Result<RunResult, Box<Preemption>> {
-    run_inner(app, cfg, false, None, Some(cancelled))
-}
-
-/// Like [`run`], but samples the oracle on an explicit `pool` instead of
-/// the process-global one. The result is bit-identical to [`run`] at any
-/// pool size.
-pub fn run_with_pool(app: &App, cfg: &RunConfig, pool: Arc<WorkerPool>) -> RunResult {
-    run_inner(app, cfg, false, Some(pool), None)
-        .expect("no cancel predicate, so the run cannot preempt")
+    run_inner(app, cfg, false, Some(cancelled))
 }
 
 /// Like [`run`], but additionally forces fork–pre-execute sampling every
 /// epoch and records a ground-truth [`SensitivityTrace`] into
 /// [`RunResult::sensitivity_trace`] (the Figure 6 measurement path).
 pub fn run_with_sensitivity_trace(app: &App, cfg: &RunConfig) -> RunResult {
-    run_inner(app, cfg, true, None, None).expect("no cancel predicate, so the run cannot preempt")
+    run_inner(app, cfg, true, None).expect("no cancel predicate, so the run cannot preempt")
 }
 
 fn run_inner(
     app: &App,
     cfg: &RunConfig,
     trace: bool,
-    pool: Option<Arc<WorkerPool>>,
     cancelled: Option<&dyn Fn() -> bool>,
 ) -> Result<RunResult, Box<Preemption>> {
     let power = PowerModel::new(cfg.power);
     let mut session = Session::new(app, cfg).sampling_every_epoch(trace);
-    if let Some(pool) = pool {
-        session = session.with_pool(pool);
-    }
     let mut energy = EnergyObserver::new(power);
     let mut accuracy = AccuracyObserver::new();
     let mut residency = ResidencyObserver::new(cfg.states.clone());

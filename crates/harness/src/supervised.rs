@@ -190,7 +190,7 @@ pub fn run_grid_supervised(
     // per-app exactly as they would in a streaming run).
     let mut breaker = CircuitBreaker::new(scfg.breaker_k);
     for (i, cell) in cells.iter().enumerate() {
-        let app = jobs[i].1.name.as_str();
+        let app = &jobs[i].1.name;
         match cell {
             Some(_) => breaker.record_success(app),
             None => {

@@ -21,7 +21,7 @@
 //!   (live-migration in miniature). Torn reads are detected by the
 //!   container CRC and walked through seeded retry/backoff before falling
 //!   back to a cold rebuild.
-//! * **Degradation** ([`session`]) — per-tenant circuit breakers
+//! * **Degradation** ([`session`]) — circuit breakers keyed by tenant id
 //!   ([`supervise::CircuitBreaker`], attributable per tenant through
 //!   [`supervise::KeyedSupervisionReport`]) guard each telemetry channel;
 //!   a blind tenant walks the PR-3 `ResilientPolicy` degradation ladder
@@ -32,9 +32,12 @@
 //!   demoted first, freeing watts for frequency-sensitive tenants.
 //! * **Chaos** ([`soak`]) — a seeded soak drives correlated fault storms
 //!   (the `faults` crate's storm profile), hung tenants, and torn snapshot
-//!   reads through the server and asserts the SLOs: zero tenants lost, no
-//!   missed global-cap epoch, and a bit-identical decision log across a
-//!   kill-and-recover mid-soak restart.
+//!   reads through the server and asserts the SLOs: every admitted tenant
+//!   live or held, no missed global-cap epoch, and a bit-identical
+//!   decision log across a kill-and-recover mid-soak restart. Its one
+//!   closed loop, [`drive_soak`], reaches the server through the
+//!   [`SoakFleet`] trait, which the server implements in process and the
+//!   `wire` crate's client fleet implements over PCWR.
 //!
 //! ## Determinism
 //!
@@ -57,5 +60,5 @@ pub mod telemetry;
 pub use queue::{IngestQueues, ShedStats, SubmitOutcome};
 pub use server::{Decision, PolicyServer, ServerConfig, ServerStats};
 pub use session::{Request, Rung, TenantSession};
-pub use soak::{arm_hangs, run_soak, server_config_for, SoakConfig, SoakReport};
+pub use soak::{drive_soak, run_soak, server_config_for, SoakConfig, SoakFleet, SoakReport};
 pub use telemetry::{synth_record, TelemetryBatch, TenantRecord};

@@ -15,8 +15,8 @@
 //!    coldest live tenants, popped off one victim heap built per epoch.
 //! 3. **Breakers**: a missed delivery is a failure on the tenant's
 //!    telemetry channel; `threshold` consecutive misses trip the breaker.
-//!    Trips/skips/recoveries are attributed per tenant through
-//!    [`KeyedSupervisionReport`].
+//!    Breakers and the [`KeyedSupervisionReport`] that attributes
+//!    trips/skips/recoveries are both keyed by tenant id.
 //! 4. **Observe**, in the same walk as step 3: each tenant's session
 //!    consumes its delivery, gated by its breaker's open flag, and
 //!    produces a frequency [`Request`].
@@ -232,7 +232,11 @@ pub struct ServerStats {
     /// Tenants whose state was unrecoverable and were rebuilt cold
     /// (identity preserved, predictor reset).
     pub rebuilt_cold: u64,
-    /// Tenants lost entirely — the headline SLO; must stay 0.
+    /// Tenants lost entirely. Nothing increments it now that the server
+    /// holds evicted containers itself (a torn restore falls back to a
+    /// cold rebuild, never to a loss), so it reads 0 by construction; it
+    /// stays in the stats, the snapshot and the PCWR `Info` frame. The
+    /// accounting check that can fail is [`crate::SoakReport::accounted`].
     pub lost_tenants: u64,
     /// Epochs whose full decision set fit under the power cap.
     pub cap_epochs_met: u64,
@@ -305,10 +309,6 @@ impl Snapshot for ServerStats {
     }
 }
 
-fn tenant_key(t: u64) -> String {
-    format!("tenant-{t:08}")
-}
-
 /// This epoch's deliveries: per tenant, the tier it submitted at and its
 /// newest record.
 type Inbox = BTreeMap<u64, (u8, TenantRecord)>;
@@ -369,7 +369,7 @@ pub struct PolicyServer {
     live: BTreeMap<u64, TenantSession>,
     /// Evicted tenant → its session in a CRC-checked container.
     evicted: BTreeMap<u64, Vec<u8>>,
-    breaker: CircuitBreaker,
+    breaker: CircuitBreaker<u64>,
     supervision: KeyedSupervisionReport,
     stats: ServerStats,
     log: DecisionLog,
@@ -496,10 +496,8 @@ impl PolicyServer {
             if let Some(sess) = decoded {
                 self.stats.restores += 1;
                 if attempt > 1 {
-                    self.supervision.record(
-                        &tenant_key(tenant),
-                        &SupervisionReport { recovered: 1, ..Default::default() },
-                    );
+                    self.supervision
+                        .record(tenant, &SupervisionReport { recovered: 1, ..Default::default() });
                 }
                 break sess;
             }
@@ -508,14 +506,12 @@ impl PolicyServer {
                 // Out of retries: the tenant keeps its identity but
                 // restarts with a cold predictor. Never lost.
                 self.stats.rebuilt_cold += 1;
-                self.supervision.record(
-                    &tenant_key(tenant),
-                    &SupervisionReport { unrecovered: 1, ..Default::default() },
-                );
+                self.supervision
+                    .record(tenant, &SupervisionReport { unrecovered: 1, ..Default::default() });
                 break TenantSession::new(tenant, tier, epoch, self.cfg.ladder);
             }
             self.supervision.record(
-                &tenant_key(tenant),
+                tenant,
                 &SupervisionReport {
                     retries: 1,
                     backoff_ms: self.cfg.backoff.delay_ms(self.cfg.seed, tenant, attempt),
@@ -605,26 +601,23 @@ impl PolicyServer {
         let states = &self.cfg.states;
         let mut requests = Vec::with_capacity(self.live.len());
         for (&t, sess) in self.live.iter_mut() {
-            let key = tenant_key(t);
             let delivery = inbox.get(&t).map(|(_, rec)| rec);
             let open = if delivery.is_some() {
-                if self.breaker.is_open(&key) {
+                if self.breaker.is_open(&t) {
                     self.supervision
-                        .record(&key, &SupervisionReport { recovered: 1, ..Default::default() });
+                        .record(t, &SupervisionReport { recovered: 1, ..Default::default() });
                 }
-                self.breaker.record_success(&key);
+                self.breaker.record_success(&t);
                 false
-            } else if self.breaker.record_failure(&key) {
+            } else if self.breaker.record_failure(&t) {
                 self.supervision
-                    .record(&key, &SupervisionReport { breaker_trips: 1, ..Default::default() });
+                    .record(t, &SupervisionReport { breaker_trips: 1, ..Default::default() });
                 true
             } else {
-                let open = self.breaker.is_open(&key);
+                let open = self.breaker.is_open(&t);
                 if open {
-                    self.supervision.record(
-                        &key,
-                        &SupervisionReport { breaker_skips: 1, ..Default::default() },
-                    );
+                    self.supervision
+                        .record(t, &SupervisionReport { breaker_skips: 1, ..Default::default() });
                 }
                 open
             };
@@ -740,13 +733,12 @@ impl PolicyServer {
             }
         });
         // Evicted tenants travel as their held containers, each under its
-        // tenant key, so the whole fleet is one artifact.
+        // tenant id, so the whole fleet is one artifact.
         let evicted = &self.evicted;
         cw.section("evicted", |w| {
             w.put_usize(evicted.len());
             for (&t, bytes) in evicted {
                 w.put_u64(t);
-                w.put_str(&tenant_key(t));
                 w.put_bytes(bytes);
             }
         });
@@ -755,19 +747,19 @@ impl PolicyServer {
         cw.section("breaker", |w| {
             w.put_u32(threshold);
             w.put_usize(breaker_entries.len());
-            for (key, consecutive, open, trips) in &breaker_entries {
-                w.put_str(key);
-                w.put_u32(*consecutive);
-                w.put_bool(*open);
-                w.put_u64(*trips);
+            for &(t, consecutive, open, trips) in &breaker_entries {
+                w.put_u64(t);
+                w.put_u32(consecutive);
+                w.put_bool(open);
+                w.put_u64(trips);
             }
         });
         let sup = &self.supervision;
         cw.section("supervision", |w| {
             encode_report(w, &sup.total);
             w.put_usize(sup.per_key.len());
-            for (key, rep) in &sup.per_key {
-                w.put_str(key);
+            for (&t, rep) in &sup.per_key {
+                w.put_u64(t);
                 encode_report(w, rep);
             }
         });
@@ -805,7 +797,6 @@ impl PolicyServer {
         let mut evicted = BTreeMap::new();
         for _ in 0..n {
             let t = r.take_u64()?;
-            r.take_str()?; // the tenant key; `t` alone identifies the tenant
             evicted.insert(t, r.take_bytes()?.to_vec());
         }
         r.finish()?;
@@ -815,8 +806,7 @@ impl PolicyServer {
         let n = r.take_usize()?;
         let mut entries = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let key = r.take_str()?;
-            entries.push((key.to_string(), r.take_u32()?, r.take_bool()?, r.take_u64()?));
+            entries.push((r.take_u64()?, r.take_u32()?, r.take_bool()?, r.take_u64()?));
         }
         r.finish()?;
         let breaker = CircuitBreaker::restore_state(threshold, entries);
@@ -826,8 +816,7 @@ impl PolicyServer {
         let n = r.take_usize()?;
         let mut per_key = BTreeMap::new();
         for _ in 0..n {
-            let key = r.take_str()?;
-            per_key.insert(key.to_string(), decode_report(&mut r)?);
+            per_key.insert(r.take_u64()?, decode_report(&mut r)?);
         }
         r.finish()?;
 

@@ -19,7 +19,6 @@
 //! reports count rungs exactly as the simulator's fault runs do.
 
 use dvfs::states::FreqStates;
-use gpu_sim::time::Frequency;
 use pcstall::pc_table::{PcTable, PcTableConfig};
 use pcstall::resilience::{FallbackConfig, FallbackCounts, Ladder};
 use pcstall::sensitivity::LinearModel;
@@ -192,11 +191,6 @@ impl TenantSession {
         self.last_predicted = predicted;
         self.decisions += 1;
     }
-
-    /// The frequency of the last committed decision on `states`.
-    pub fn current_freq(&self, states: &FreqStates) -> Frequency {
-        states.as_slice()[self.current.min(states.len() - 1)]
-    }
 }
 
 impl Snapshot for TenantSession {
@@ -238,6 +232,7 @@ impl Snapshot for TenantSession {
 mod tests {
     use super::*;
     use crate::telemetry::synth_record;
+    use gpu_sim::time::Frequency;
 
     fn states() -> FreqStates {
         FreqStates::paper()

@@ -2,15 +2,20 @@
 //! through the policy server under fault storms, hung tenants, torn
 //! snapshot reads, and an optional mid-soak kill-and-recover.
 //!
-//! The driver is deliberately a pure function of [`SoakConfig`]: tenant
-//! telemetry is [`crate::telemetry::synth_record`] fed back the server's
-//! own frequency decisions, fault draws come off the counter-based
-//! channels in `faults`, and hang windows are armed up front from the
-//! fault seed. Two soaks with the same config — with or without the kill
-//! — must report the same decision digest; the chaos integration test
-//! pins that digest as a constant.
+//! [`drive_soak`] is the one closed loop. It is a pure function of
+//! [`SoakConfig`] and the decisions it gets back: tenant telemetry is
+//! [`crate::telemetry::synth_record`] fed back the server's own frequency
+//! decisions, fault draws come off the counter-based channels in
+//! `faults`, and hang windows are armed up front from the fault seed.
+//! Only the transport varies, behind [`SoakFleet`]: [`run_soak`] drives
+//! a [`PolicyServer`] in process, and the `wire` crate drives a gateway
+//! over PCWR through a client fleet. Two soaks with the same config —
+//! with or without a kill, over any transport — must report the same
+//! decision digest; the chaos integration test pins that digest as a
+//! constant.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use dvfs::states::FreqStates;
@@ -124,14 +129,37 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
+    /// The report of a soak driven with `cfg` against `server`, whichever
+    /// transport carried it; `log` is what [`drive_soak`] returned.
+    pub fn new(cfg: &SoakConfig, server: &PolicyServer, killed: bool, log: Vec<Decision>) -> Self {
+        let dlog = server.decision_log();
+        SoakReport {
+            tenants: cfg.tenants,
+            epochs: cfg.epochs,
+            power_cap_w: server.config().power_cap_w,
+            killed,
+            hung_tenants: arm_hangs(cfg).len() as u64,
+            digest: dlog.digest(),
+            digest_count: dlog.count(),
+            stats: server.stats(),
+            shed: server.shed_stats().clone(),
+            supervision: server.supervision().total,
+            live: server.live_tenants(),
+            evicted: server.evicted_tenants(),
+            log,
+        }
+    }
+
     /// Every tenant ever admitted is still live or stored — nobody fell
     /// through a crack.
     pub fn accounted(&self) -> bool {
         self.live + self.evicted == self.stats.admitted as usize
     }
 
-    /// The soak's SLOs: zero tenants lost, full accounting, and no epoch
-    /// whose decision set missed the global power cap.
+    /// The soak's SLOs: full accounting ([`SoakReport::accounted`]) and
+    /// no epoch whose decision set missed the global power cap. The
+    /// `lost_tenants == 0` term cannot fail (see
+    /// [`ServerStats::lost_tenants`]); it stays for the counter's sake.
     pub fn slos_met(&self) -> bool {
         self.stats.lost_tenants == 0 && self.accounted() && self.stats.cap_epochs_missed == 0
     }
@@ -203,12 +231,7 @@ impl SoakReport {
 /// `(start, end)` epochs during which the tenant submits nothing at all
 /// (no loss event fires — the channel simply goes dark, which is what
 /// trips the tenant's breaker and walks its ladder).
-///
-/// Public so the `wire` soak driver arms the identical windows when it
-/// re-runs this soak over a faulty transport — digest equality with the
-/// in-process path requires the same tenants going dark at the same
-/// epochs.
-pub fn arm_hangs(cfg: &SoakConfig) -> BTreeMap<u64, (u64, u64)> {
+fn arm_hangs(cfg: &SoakConfig) -> BTreeMap<u64, (u64, u64)> {
     let fs = cfg.faults.seed;
     (0..cfg.tenants)
         .filter_map(|t| {
@@ -224,10 +247,7 @@ pub fn arm_hangs(cfg: &SoakConfig) -> BTreeMap<u64, (u64, u64)> {
 }
 
 /// The exact [`ServerConfig`] a soak with this [`SoakConfig`] runs
-/// against. Public so the `wire` soak builds a bit-identical server
-/// behind its gateway — any divergence here (cap, seed, queue depth)
-/// would silently break the cross-transport digest equality the chaos
-/// tests pin.
+/// against, in process or behind a wire gateway.
 pub fn server_config_for(cfg: &SoakConfig) -> ServerConfig {
     let states = FreqStates::paper();
     let cap = cfg.resolve_cap(&states);
@@ -247,11 +267,54 @@ pub fn server_config_for(cfg: &SoakConfig) -> ServerConfig {
     }
 }
 
-/// Runs the soak. See module docs for the determinism contract.
-pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
+/// The transport a soak drives: how one tenant's telemetry reaches a
+/// policy server and how an epoch's decisions come back. The server
+/// itself is the in-process fleet; the `wire` crate's client fleet
+/// carries the same two calls over PCWR.
+pub trait SoakFleet {
+    /// Why a transport gave up.
+    type Error;
+
+    /// Delivers one tenant's telemetry batch.
+    fn submit(&mut self, batch: TelemetryBatch) -> Result<(), Self::Error>;
+
+    /// Steps the server past `epoch` and returns that epoch's decisions
+    /// in ascending tenant order.
+    fn step(&mut self, epoch: u64) -> Result<Vec<Decision>, Self::Error>;
+}
+
+impl SoakFleet for PolicyServer {
+    type Error = Infallible;
+
+    fn submit(&mut self, batch: TelemetryBatch) -> Result<(), Infallible> {
+        PolicyServer::submit(self, batch);
+        Ok(())
+    }
+
+    fn step(&mut self, _epoch: u64) -> Result<Vec<Decision>, Infallible> {
+        Ok(self.run_epoch())
+    }
+}
+
+/// Drives the soak's closed loop through `fleet`: per epoch, every tenant
+/// outside its hang window submits the record its fault draw allows
+/// (fresh, a stale replay of the previous epoch, or nothing) at tier
+/// `t % tiers`, the fleet steps, and each decided frequency feeds the
+/// tenant's next record. `before_epoch` runs at the top of each epoch,
+/// when nothing is in flight — the kill/recover hook.
+///
+/// The server's decision stream is a pure function of the batches it
+/// receives per epoch, in order, and this loop is the only producer of
+/// those batches, so every transport that delivers them faithfully ends
+/// on the same decision digest. Returns the decision log when
+/// [`SoakConfig::record_log`] is set, else an empty one.
+pub fn drive_soak<F: SoakFleet>(
+    cfg: &SoakConfig,
+    fleet: &mut F,
+    mut before_epoch: impl FnMut(u64, &mut F),
+) -> Result<Vec<Decision>, F::Error> {
     let states = FreqStates::paper();
-    let cap = cfg.resolve_cap(&states);
-    let mut server = PolicyServer::new(server_config_for(cfg), Arc::new(WorkerPool::new(1)));
+    let tiers = u64::from(cfg.tiers.max(1));
     let mut injector = FaultInjector::new(cfg.faults);
     let hangs = arm_hangs(cfg);
 
@@ -260,16 +323,10 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // Both are driven purely by the server's own decisions.
     let mut cur = vec![states.min(); cfg.tenants as usize];
     let mut prev = cur.clone();
-    let mut killed = false;
     let mut log = Vec::new();
 
     for e in 0..cfg.epochs {
-        if cfg.kill_at == Some(e) {
-            let bytes = server.save_state();
-            drop(server);
-            server = PolicyServer::load_state(&bytes).expect("soak snapshot must reload");
-            killed = true;
-        }
+        before_epoch(e, fleet);
         for t in 0..cfg.tenants {
             if let Some(&(start, end)) = hangs.get(&t) {
                 if e >= start && e < end {
@@ -286,10 +343,10 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
                 }
                 TelemetryEvent::Deliver => synth_record(cfg.seed, t, e, cur[t as usize]),
             };
-            let tier = (t % u64::from(cfg.tiers.max(1))) as u8;
-            server.submit(TelemetryBatch { tenant: t, tier, records: vec![rec] });
+            let tier = (t % tiers) as u8;
+            fleet.submit(TelemetryBatch { tenant: t, tier, records: vec![rec] })?;
         }
-        let decisions = server.run_epoch();
+        let decisions = fleet.step(e)?;
         prev.copy_from_slice(&cur);
         for d in &decisions {
             if let Some(slot) = cur.get_mut(d.tenant as usize) {
@@ -300,23 +357,22 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             log.extend(decisions);
         }
     }
+    Ok(log)
+}
 
-    let dlog = server.decision_log();
-    SoakReport {
-        tenants: cfg.tenants,
-        epochs: cfg.epochs,
-        power_cap_w: cap,
-        killed,
-        hung_tenants: hangs.len() as u64,
-        digest: dlog.digest(),
-        digest_count: dlog.count(),
-        stats: server.stats(),
-        shed: server.shed_stats().clone(),
-        supervision: server.supervision().total,
-        live: server.live_tenants(),
-        evicted: server.evicted_tenants(),
-        log,
-    }
+/// Runs the soak in process. See module docs for the determinism
+/// contract.
+pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
+    let mut server = PolicyServer::new(server_config_for(cfg), Arc::new(WorkerPool::new(1)));
+    let mut killed = false;
+    let Ok(log) = drive_soak(cfg, &mut server, |e, server| {
+        if cfg.kill_at == Some(e) {
+            *server =
+                PolicyServer::load_state(&server.save_state()).expect("soak snapshot must reload");
+            killed = true;
+        }
+    });
+    SoakReport::new(cfg, &server, killed, log)
 }
 
 #[cfg(test)]

@@ -73,18 +73,20 @@ struct BreakerEntry {
 /// Per-key circuit breaker: `threshold` *consecutive* failures open the
 /// circuit; any success closes it and resets the count. The caller decides
 /// what an open circuit means (the harness admits one probe cell per app
-/// per retry round and skips the rest).
+/// per retry round and skips the rest). Keys are whatever identifies a
+/// channel to the caller: app names in the harness, tenant ids in the
+/// policy server, one constant per connection in the wire client.
 ///
 /// State transitions depend only on the sequence of recorded outcomes —
 /// callers must feed outcomes in a deterministic order (the harness uses
 /// cell-index order) for cross-run reproducibility.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub struct CircuitBreaker<K> {
     threshold: u32,
-    entries: BTreeMap<String, BreakerEntry>,
+    entries: BTreeMap<K, BreakerEntry>,
 }
 
-impl CircuitBreaker {
+impl<K: Ord + Clone> CircuitBreaker<K> {
     /// `threshold` is clamped to at least 1.
     pub fn new(threshold: u32) -> Self {
         CircuitBreaker { threshold: threshold.max(1), entries: BTreeMap::new() }
@@ -92,8 +94,8 @@ impl CircuitBreaker {
 
     /// Records a failure for `key`; returns `true` iff this failure
     /// freshly tripped the breaker (already-open circuits don't re-trip).
-    pub fn record_failure(&mut self, key: &str) -> bool {
-        let e = self.entries.entry(key.to_string()).or_default();
+    pub fn record_failure(&mut self, key: &K) -> bool {
+        let e = self.entries.entry(key.clone()).or_default();
         e.consecutive = e.consecutive.saturating_add(1);
         if !e.open && e.consecutive >= self.threshold {
             e.open = true;
@@ -104,14 +106,14 @@ impl CircuitBreaker {
     }
 
     /// Records a success: closes the circuit and resets the failure run.
-    pub fn record_success(&mut self, key: &str) {
-        let e = self.entries.entry(key.to_string()).or_default();
+    pub fn record_success(&mut self, key: &K) {
+        let e = self.entries.entry(key.clone()).or_default();
         e.consecutive = 0;
         e.open = false;
     }
 
     /// Whether `key`'s circuit is currently open.
-    pub fn is_open(&self, key: &str) -> bool {
+    pub fn is_open(&self, key: &K) -> bool {
         self.entries.get(key).is_some_and(|e| e.open)
     }
 
@@ -120,26 +122,16 @@ impl CircuitBreaker {
         self.entries.values().map(|e| e.trips).sum()
     }
 
-    /// Lifetime trips for one key (0 if never seen).
-    pub fn trips_for(&self, key: &str) -> u64 {
-        self.entries.get(key).map_or(0, |e| e.trips)
-    }
-
-    /// Keys whose circuits are open right now, in sorted order.
-    pub fn open_keys(&self) -> Vec<&str> {
-        self.entries.iter().filter(|(_, e)| e.open).map(|(k, _)| k.as_str()).collect()
-    }
-
     /// Per-key state in sorted key order: `(key, consecutive_failures,
     /// open, lifetime_trips)`. The export/restore pair lets a long-running
     /// consumer (the policy server) carry breaker state through a
     /// kill-and-recover snapshot bit-exactly.
-    pub fn export_state(&self) -> Vec<(String, u32, bool, u64)> {
+    pub fn export_state(&self) -> Vec<(K, u32, bool, u64)> {
         self.entries.iter().map(|(k, e)| (k.clone(), e.consecutive, e.open, e.trips)).collect()
     }
 
     /// Rebuilds a breaker from [`CircuitBreaker::export_state`] output.
-    pub fn restore_state(threshold: u32, entries: Vec<(String, u32, bool, u64)>) -> Self {
+    pub fn restore_state(threshold: u32, entries: Vec<(K, u32, bool, u64)>) -> Self {
         CircuitBreaker {
             threshold: threshold.max(1),
             entries: entries
@@ -196,47 +188,27 @@ impl SupervisionReport {
     }
 }
 
-/// A [`SupervisionReport`] with a per-key breakdown. The plain report's
-/// `merge` collapses everything into aggregate counters, which is fine for
-/// a single sweep but useless for a multi-tenant server: "3 breaker trips"
-/// doesn't say *which* tenant's telemetry channel is flapping. This keyed
-/// variant attributes every recorded event to a key (tenant id, app name)
-/// while keeping the aggregate total in lockstep.
+/// A [`SupervisionReport`] with a per-tenant breakdown. The plain
+/// report's `merge` collapses everything into aggregate counters, which
+/// is fine for a single sweep but useless for a multi-tenant server:
+/// "3 breaker trips" doesn't say *which* tenant's telemetry channel is
+/// flapping. This keyed variant attributes every recorded event to a
+/// tenant id while keeping the aggregate total in lockstep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeyedSupervisionReport {
-    /// Aggregate across all keys — always the field-wise sum of
-    /// `per_key`'s values plus anything recorded without a key.
+    /// Aggregate across all tenants — always the field-wise sum of
+    /// `per_key`'s values.
     pub total: SupervisionReport,
-    /// Per-key reports in sorted key order.
-    pub per_key: BTreeMap<String, SupervisionReport>,
+    /// Per-tenant reports in ascending tenant id.
+    pub per_key: BTreeMap<u64, SupervisionReport>,
 }
 
 impl KeyedSupervisionReport {
-    /// Records `delta` against `key`, updating both the key's report and
-    /// the aggregate.
-    pub fn record(&mut self, key: &str, delta: &SupervisionReport) {
+    /// Records `delta` against tenant `key`, updating both the tenant's
+    /// report and the aggregate.
+    pub fn record(&mut self, key: u64, delta: &SupervisionReport) {
         self.total.merge(delta);
-        self.per_key.entry(key.to_string()).or_default().merge(delta);
-    }
-
-    /// Merges another keyed report: aggregates sum field-wise and each of
-    /// `other`'s keys merges into the matching key here — per-tenant
-    /// attribution survives cross-shard and cross-study aggregation.
-    pub fn merge(&mut self, other: &KeyedSupervisionReport) {
-        self.total.merge(&other.total);
-        for (key, rep) in &other.per_key {
-            self.per_key.entry(key.clone()).or_default().merge(rep);
-        }
-    }
-
-    /// Keys sorted by descending breaker trips then ascending key — the
-    /// "worst tenants first" view reports surface.
-    pub fn worst_keys(&self, n: usize) -> Vec<(&str, &SupervisionReport)> {
-        let mut rows: Vec<(&str, &SupervisionReport)> =
-            self.per_key.iter().map(|(k, r)| (k.as_str(), r)).collect();
-        rows.sort_by(|a, b| b.1.breaker_trips.cmp(&a.1.breaker_trips).then_with(|| a.0.cmp(b.0)));
-        rows.truncate(n);
-        rows
+        self.per_key.entry(key).or_default().merge(delta);
     }
 }
 
@@ -351,33 +323,32 @@ mod tests {
     #[test]
     fn breaker_trips_after_k_and_recovers() {
         let mut cb = CircuitBreaker::new(3);
-        assert!(!cb.record_failure("comd"));
-        assert!(!cb.record_failure("comd"));
-        assert!(!cb.is_open("comd"));
-        assert!(cb.record_failure("comd"), "third consecutive failure trips");
-        assert!(cb.is_open("comd"));
-        assert!(!cb.record_failure("comd"), "open circuit does not re-trip");
+        assert!(!cb.record_failure(&"comd"));
+        assert!(!cb.record_failure(&"comd"));
+        assert!(!cb.is_open(&"comd"));
+        assert!(cb.record_failure(&"comd"), "third consecutive failure trips");
+        assert!(cb.is_open(&"comd"));
+        assert!(!cb.record_failure(&"comd"), "open circuit does not re-trip");
         assert_eq!(cb.trips(), 1);
-        assert_eq!(cb.open_keys(), vec!["comd"]);
 
-        cb.record_success("comd");
-        assert!(!cb.is_open("comd"), "success closes the circuit");
-        assert!(!cb.record_failure("comd"), "failure run restarts from zero");
-        assert!(!cb.record_failure("comd"));
-        assert!(cb.record_failure("comd"), "can trip again after recovery");
+        cb.record_success(&"comd");
+        assert!(!cb.is_open(&"comd"), "success closes the circuit");
+        assert!(!cb.record_failure(&"comd"), "failure run restarts from zero");
+        assert!(!cb.record_failure(&"comd"));
+        assert!(cb.record_failure(&"comd"), "can trip again after recovery");
         assert_eq!(cb.trips(), 2);
     }
 
     #[test]
     fn breaker_keys_are_independent() {
         let mut cb = CircuitBreaker::new(2);
-        cb.record_failure("a");
-        cb.record_failure("b");
-        assert!(!cb.is_open("a") && !cb.is_open("b"));
-        cb.record_failure("a");
-        assert!(cb.is_open("a"));
-        assert!(!cb.is_open("b"));
-        assert!(!cb.is_open("never-seen"));
+        cb.record_failure(&"a");
+        cb.record_failure(&"b");
+        assert!(!cb.is_open(&"a") && !cb.is_open(&"b"));
+        cb.record_failure(&"a");
+        assert!(cb.is_open(&"a"));
+        assert!(!cb.is_open(&"b"));
+        assert!(!cb.is_open(&"never-seen"));
     }
 
     #[test]
@@ -399,54 +370,37 @@ mod tests {
     }
 
     #[test]
-    fn keyed_report_attributes_and_merges_per_key() {
+    fn keyed_report_attributes_per_key() {
         let mut k = KeyedSupervisionReport::default();
-        k.record(
-            "tenant-3",
-            &SupervisionReport { breaker_trips: 1, retries: 2, ..Default::default() },
-        );
-        k.record("tenant-7", &SupervisionReport { breaker_trips: 3, ..Default::default() });
-        k.record("tenant-3", &SupervisionReport { recovered: 1, ..Default::default() });
+        k.record(3, &SupervisionReport { breaker_trips: 1, retries: 2, ..Default::default() });
+        k.record(7, &SupervisionReport { breaker_trips: 3, ..Default::default() });
+        k.record(3, &SupervisionReport { recovered: 1, ..Default::default() });
         assert_eq!(k.total.breaker_trips, 4);
         assert_eq!(k.total.retries, 2);
-        assert_eq!(k.per_key["tenant-3"].retries, 2);
-        assert_eq!(k.per_key["tenant-3"].recovered, 1);
-        assert_eq!(k.per_key["tenant-7"].breaker_trips, 3);
-
-        let mut other = KeyedSupervisionReport::default();
-        other.record("tenant-7", &SupervisionReport { breaker_trips: 2, ..Default::default() });
-        other.record("tenant-9", &SupervisionReport { timeouts: 5, ..Default::default() });
-        k.merge(&other);
-        assert_eq!(k.total.breaker_trips, 6);
-        assert_eq!(k.per_key["tenant-7"].breaker_trips, 5, "same key sums across merges");
-        assert_eq!(k.per_key["tenant-9"].timeouts, 5, "new keys appear");
-
-        let worst = k.worst_keys(2);
-        assert_eq!(worst[0].0, "tenant-7");
-        assert_eq!(worst.len(), 2);
+        assert_eq!(k.per_key[&3].retries, 2);
+        assert_eq!(k.per_key[&3].recovered, 1);
+        assert_eq!(k.per_key[&7].breaker_trips, 3);
     }
 
     #[test]
     fn breaker_state_roundtrips_and_attributes_trips() {
         let mut cb = CircuitBreaker::new(2);
-        cb.record_failure("t1");
-        cb.record_failure("t1"); // trips t1
-        cb.record_failure("t2");
-        assert_eq!(cb.trips_for("t1"), 1);
-        assert_eq!(cb.trips_for("t2"), 0);
-        assert_eq!(cb.trips_for("never"), 0);
-
+        cb.record_failure(&1u64);
+        cb.record_failure(&1); // trips 1
+        cb.record_failure(&2);
         let exported = cb.export_state();
+        assert_eq!(exported, vec![(1, 2, true, 1), (2, 1, false, 0)], "trips attributed per key");
+
         let restored = CircuitBreaker::restore_state(cb.threshold(), exported.clone());
         assert_eq!(restored.export_state(), exported, "export→restore→export is stable");
-        assert!(restored.is_open("t1"));
-        assert!(!restored.is_open("t2"));
+        assert!(restored.is_open(&1));
+        assert!(!restored.is_open(&2));
         assert_eq!(restored.trips(), 1);
-        // The restored breaker continues mid-run: t2 had 1 consecutive
+        // The restored breaker continues mid-run: 2 had 1 consecutive
         // failure, one more trips it.
         let mut restored = restored;
-        assert!(restored.record_failure("t2"));
-        assert_eq!(restored.trips_for("t2"), 1);
+        assert!(restored.record_failure(&2));
+        assert_eq!(restored.trips(), 2);
     }
 
     #[test]

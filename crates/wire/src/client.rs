@@ -59,6 +59,23 @@ pub struct ClientReport {
     pub backoff_ms: u64,
 }
 
+impl ClientReport {
+    /// Field-wise sum, for rolling a fleet's clients into one report.
+    pub fn merge(&mut self, other: &ClientReport) {
+        self.connects += other.connects;
+        self.reconnects += other.reconnects;
+        self.dial_failures += other.dial_failures;
+        self.retries += other.retries;
+        self.frame_errors += other.frame_errors;
+        self.io_errors += other.io_errors;
+        self.rejects += other.rejects;
+        self.duplicate_acks += other.duplicate_acks;
+        self.resync_acks += other.resync_acks;
+        self.breaker_trips += other.breaker_trips;
+        self.backoff_ms += other.backoff_ms;
+    }
+}
+
 /// A retry budget ran out. The operation that failed, the attempts made,
 /// and the last error seen — the caller decides whether that is an SLO
 /// violation (the chaos soak treats it as one).
@@ -121,7 +138,7 @@ pub struct Client<T: Read + Write> {
     next_seq: u64,
     /// Highest sequence number the server has confirmed applied.
     acked_seq: u64,
-    breaker: CircuitBreaker,
+    breaker: CircuitBreaker<&'static str>,
     /// Resilience counters.
     pub report: ClientReport,
 }
@@ -209,7 +226,7 @@ impl<T: Read + Write> Client<T> {
 
     fn drop_conn(&mut self) {
         self.conn = None;
-        if self.breaker.record_failure(BREAKER_KEY) {
+        if self.breaker.record_failure(&BREAKER_KEY) {
             self.report.breaker_trips += 1;
         }
     }
@@ -218,7 +235,7 @@ impl<T: Read + Write> Client<T> {
     /// means the previous connection lineage is distrusted: the old
     /// transport is dropped and a fresh dial must succeed to close it.
     fn ensure_conn(&mut self, attempt: u32) -> Result<(), WireFail> {
-        if self.conn.is_some() && !self.breaker.is_open(BREAKER_KEY) {
+        if self.conn.is_some() && !self.breaker.is_open(&BREAKER_KEY) {
             return Ok(());
         }
         self.conn = None;
@@ -244,7 +261,7 @@ impl<T: Read + Write> Client<T> {
                 if last_seq > self.acked_seq {
                     self.acked_seq = last_seq;
                 }
-                self.breaker.record_success(BREAKER_KEY);
+                self.breaker.record_success(&BREAKER_KEY);
                 self.report.connects += 1;
                 if self.report.connects > 1 {
                     self.report.reconnects += 1;
@@ -342,7 +359,7 @@ impl<T: Read + Write> Client<T> {
                         // idempotent, so keep the connection but let the
                         // breaker count the silence.
                         WireFail::NoResponse => {
-                            if self.breaker.record_failure(BREAKER_KEY) {
+                            if self.breaker.record_failure(&BREAKER_KEY) {
                                 self.report.breaker_trips += 1;
                             }
                         }

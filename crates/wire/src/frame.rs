@@ -140,7 +140,8 @@ pub struct ServerInfo {
     pub evicted: u64,
     /// Tenants ever admitted.
     pub admitted: u64,
-    /// Tenants lost (SLO: must be zero).
+    /// The server's `lost_tenants` counter, which reads 0 by construction
+    /// (see `serve::ServerStats::lost_tenants`).
     pub lost_tenants: u64,
     /// Epochs whose decisions missed the power cap (SLO: must be zero).
     pub cap_epochs_missed: u64,

@@ -25,10 +25,12 @@
 //! * **Client** ([`client`]) — seeded-backoff reconnects, per-connection
 //!   circuit breakers, and idempotent resume: a retry loop that is safe
 //!   *because of the protocol*, not because the transport is kind.
-//! * **The oracle** ([`soak`]) — the PR-8 chaos soak re-run over the
-//!   wire with transport faults armed. Same SLOs (zero tenants lost,
-//!   zero missed cap epochs), and a decision-log digest bit-identical to
-//!   the in-process path (DESIGN.md §15).
+//! * **The oracle** ([`soak`]) — the chaos soak's one closed loop,
+//!   [`serve::drive_soak`], run through a [`ClientFleet`] (one client per
+//!   tenant plus an admin ticker) with transport faults armed. Same SLOs
+//!   (every admitted tenant accounted for, zero missed cap epochs), and a
+//!   decision-log digest bit-identical to the in-process path
+//!   (DESIGN.md §15).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,7 +49,5 @@ pub use frame::{
 };
 pub use gateway::{Conn, ConnStep, Gateway, GatewayStats};
 pub use shim::{ShimConn, ShimNet, TransportStats};
-pub use soak::{
-    drive_soak, run_wire_soak, token_seed_for, DriveReport, WireSoakConfig, WireSoakReport,
-};
+pub use soak::{run_wire_soak, token_seed_for, ClientFleet, WireSoakConfig, WireSoakReport};
 pub use tcp::{tcp_dialer, TcpServerConfig, TcpServerStats, WireServer};

@@ -4,15 +4,16 @@
 //! kill/restart-on-a-new-port reconnect with resume tokens.
 //!
 //! Determinism chaos lives in `wire_chaos.rs` over the shim; these tests
-//! prove the thin TCP layer carries the identical protocol: a loopback
-//! soak's decision digest must equal the in-process soak's.
+//! prove the thin TCP layer carries the identical protocol: the shared
+//! `serve::drive_soak` loop, run over loopback through a `ClientFleet`,
+//! must end on the in-process soak's decision digest.
 
 use std::net::TcpListener;
 
 use exec::global_pool;
-use serve::{run_soak, server_config_for, synth_record, SoakConfig, TelemetryBatch};
+use serve::{drive_soak, run_soak, server_config_for, synth_record, SoakConfig, TelemetryBatch};
 use wire::tcp::TcpServerConfig;
-use wire::{tcp_dialer, Client, ClientConfig, Gateway, WireServer};
+use wire::{tcp_dialer, Client, ClientConfig, ClientFleet, Gateway, WireServer};
 
 const TOKEN_SEED: u64 = 0x70CE_2026;
 
@@ -31,58 +32,20 @@ fn client_for(server: &WireServer, tenant: u64, tier: u8) -> Client<std::net::Tc
     Client::new(tenant, tier, cfg, tcp_dialer(server.addr(), 200))
 }
 
-/// Drives the soak's closed loop over TCP: submit (fault-free), tick,
-/// fetch, feed decisions back. Returns the decision-log digest.
-fn drive_loopback(server: &WireServer, soak: &SoakConfig) -> (u64, u64) {
-    let states = dvfs::states::FreqStates::paper();
-    let tiers = u64::from(soak.tiers.max(1));
-    let mut clients: Vec<_> =
-        (0..soak.tenants).map(|t| client_for(server, t, (t % tiers) as u8)).collect();
-    let admin_id = soak.tenants + 1;
-    let mut admin = client_for(server, admin_id, 0);
-    let mut cur = vec![states.min(); soak.tenants as usize];
-    for e in 0..soak.epochs {
-        for t in 0..soak.tenants {
-            let rec = synth_record(soak.seed, t, e, cur[t as usize]);
-            let tier = (t % tiers) as u8;
-            clients[t as usize]
-                .submit(TelemetryBatch { tenant: t, tier, records: vec![rec] })
-                .expect("loopback submit");
-        }
-        while admin.tick(e).expect("loopback tick") <= e {}
-        for t in 0..soak.tenants {
-            let decisions = loop {
-                let (se, d, _) = clients[t as usize].fetch(e).expect("loopback fetch");
-                if se > e {
-                    break d;
-                }
-            };
-            for d in &decisions {
-                if d.epoch == e {
-                    cur[t as usize] = gpu_sim::time::Frequency::from_mhz(d.freq_mhz);
-                }
-            }
-        }
-    }
-    for c in &mut clients {
-        c.bye();
-    }
-    server.with_gateway(|gw| {
-        let log = gw.server().decision_log();
-        (log.digest(), log.count())
-    })
-}
-
 #[test]
 fn loopback_soak_digest_matches_in_process() {
     // Fault-free compare baseline: the in-process soak with no faults.
     let soak = small();
     let direct = run_soak(&soak);
     let server = start_server(&soak);
-    let (digest, count) = drive_loopback(&server, &soak);
+    let max_attempts = ClientConfig::default().max_attempts;
+    let mut fleet = ClientFleet::new(&soak, max_attempts, |t, tier| client_for(&server, t, tier));
+    drive_soak(&soak, &mut fleet, |_, _| {}).expect("loopback soak");
+    fleet.finish();
     let gw = server.stop();
-    assert_eq!(digest, direct.digest, "TCP transport changed the decision stream");
-    assert_eq!(count, direct.digest_count);
+    let log = gw.server().decision_log();
+    assert_eq!(log.digest(), direct.digest, "TCP transport changed the decision stream");
+    assert_eq!(log.count(), direct.digest_count);
     assert_eq!(gw.stats.bad_tokens, 0);
     assert!(gw.stats.submits >= soak.tenants * soak.epochs, "{:?}", gw.stats);
 }

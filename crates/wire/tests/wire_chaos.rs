@@ -1,8 +1,10 @@
-//! The acceptance oracle for the wire layer: the PR-8 chaos soak re-run
-//! over a faulty transport must meet the same SLOs (zero tenants lost,
-//! zero missed cap epochs) and produce a decision-log digest
+//! The acceptance oracle for the wire layer: the chaos soak re-run over a
+//! faulty transport must meet the same SLOs (every admitted tenant live
+//! or held, zero missed cap epochs) and produce a decision-log digest
 //! bit-identical to the in-process path — with byte-stream faults armed
 //! in both directions, and across a mid-soak gateway kill-and-recover.
+//! `lost_tenants` reads 0 by construction; `accounted()` is the tenant
+//! check that can fail.
 
 use faults::stream::StreamFaultConfig;
 use faults::FaultConfig;
@@ -94,7 +96,7 @@ fn wire_soak_survives_gateway_kill_and_recover_mid_storm() {
     let direct = run_soak(&chaos());
     let killed = run_wire_soak(&WireSoakConfig { kill_at: Some(61), ..wire_chaos() })
         .expect("kill/recover must not exhaust retries");
-    assert!(killed.killed);
+    assert!(killed.soak.killed);
     assert!(killed.slos_met(), "SLO violation after restart: {:?}", killed.soak.stats);
     assert_eq!(
         direct.digest, killed.soak.digest,

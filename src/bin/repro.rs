@@ -367,8 +367,8 @@ fn warmup_cfg(p: &Preset) -> RunConfig {
 /// policy server. Faults reuse the same `--faults SPEC` grammar as the
 /// experiments (`storm=RATE` selects the bursty correlated profile);
 /// `hang=RATE` arms silent per-tenant hang windows and `--torn RATE` tears
-/// restore reads. Exits 2 if any SLO is violated (tenants lost, tenants
-/// unaccounted, or a missed global-cap epoch).
+/// restore reads. Exits 2 if any SLO is violated (tenants unaccounted or
+/// a missed global-cap epoch; `lost_tenants` reads 0 by construction).
 ///
 /// Transport modes put the same soak on a real wire (the `wire` crate):
 /// `serve kill-recover` is a self-contained TCP smoke that kills and
@@ -491,7 +491,7 @@ fn start_wire_server(gw: wire::Gateway) -> Result<wire::WireServer, String> {
 /// digest must come out bit-identical to the in-process run. Exits 2 on
 /// any divergence, refused token, or exhausted retry budget.
 fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
-    use std::cell::RefCell;
+    use std::cell::Cell;
     use std::rc::Rc;
 
     let fail = |msg: &str| failed(&format!("kill-recover smoke: {msg}"));
@@ -507,58 +507,44 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
         Arc::new(exec::WorkerPool::new(1)),
         wire::token_seed_for(&soak),
     );
-    let server = match start_wire_server(gw) {
-        Ok(s) => s,
+    let mut server = match start_wire_server(gw) {
+        Ok(s) => Some(s),
         Err(m) => return failed(&m),
     };
-    let addr = Rc::new(RefCell::new(server.addr()));
-    let server = Rc::new(RefCell::new(Some(server)));
+    let addr = Rc::new(Cell::new(server.as_ref().expect("wire server running").addr()));
 
     let t0 = std::time::Instant::now();
-    let drive = {
+    let seed = soak.seed;
+    let mut fleet = wire::ClientFleet::new(&soak, 64, |id, tier| {
         let addr = Rc::clone(&addr);
-        let srv = Rc::clone(&server);
-        let seed = soak.seed;
-        wire::drive_soak(
-            &soak,
-            64,
-            {
-                let addr = Rc::clone(&addr);
-                move |id, tier| {
-                    let addr = Rc::clone(&addr);
-                    let ccfg = wire::ClientConfig {
-                        seed: seed ^ 0xBAC0_FF5E ^ id,
-                        sleep: true,
-                        ..wire::ClientConfig::default()
-                    };
-                    // Dial whatever address the server currently lives at
-                    // — after the kill, that is the NEW port.
-                    wire::Client::new(id, tier, ccfg, move || {
-                        let mut dial = wire::tcp_dialer(*addr.borrow(), 200);
-                        dial()
-                    })
-                }
-            },
-            move |e| {
-                if e == kill_epoch {
-                    let old = srv.borrow_mut().take().expect("wire server running");
-                    let gw = old.stop();
-                    let bytes = gw.save_state();
-                    let restored =
-                        wire::Gateway::load_state(&bytes).expect("gateway snapshot must reload");
-                    let new = start_wire_server(restored).expect("restart wire server");
-                    *addr.borrow_mut() = new.addr();
-                    *srv.borrow_mut() = Some(new);
-                }
-            },
-        )
-    };
-    let drive = match drive {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("retry budget exhausted: {e}")),
-    };
+        let ccfg = wire::ClientConfig {
+            seed: seed ^ 0xBAC0_FF5E ^ id,
+            sleep: true,
+            ..wire::ClientConfig::default()
+        };
+        // Dial whatever address the server currently lives at — after
+        // the kill, that is the NEW port.
+        wire::Client::new(id, tier, ccfg, move || {
+            let mut dial = wire::tcp_dialer(addr.get(), 200);
+            dial()
+        })
+    });
+    let driven = serve::drive_soak(&soak, &mut fleet, |e, _| {
+        if e == kill_epoch {
+            let gw = server.take().expect("wire server running").stop();
+            let restored =
+                wire::Gateway::load_state(&gw.save_state()).expect("gateway snapshot must reload");
+            let new = start_wire_server(restored).expect("restart wire server");
+            addr.set(new.addr());
+            server = Some(new);
+        }
+    });
+    if let Err(e) = driven {
+        return fail(&format!("retry budget exhausted: {e}"));
+    }
+    let c = fleet.finish();
     let secs = t0.elapsed().as_secs_f64();
-    let final_srv = server.borrow_mut().take().expect("wire server running");
+    let final_srv = server.expect("wire server running");
     let tcp = final_srv.stats();
     let gw = final_srv.stop();
     let info = gw.info();
@@ -577,7 +563,6 @@ fn serve_kill_recover(cfg: &serve::SoakConfig) -> ExitCode {
         baseline.digest_count,
         if identical { "bit-identical" } else { "DIVERGED" },
     );
-    let c = &drive.clients;
     println!(
         "  clients: {} connects ({} reconnects), {} retries, {} duplicate acks, {} resyncs",
         c.connects, c.reconnects, c.retries, c.duplicate_acks, c.resync_acks,
@@ -685,23 +670,18 @@ fn serve_connect(cfg: &serve::SoakConfig, addr: &str, verify: bool) -> ExitCode 
     let fail = |msg: &str| failed(&format!("--connect {addr}: {msg}"));
     let t0 = std::time::Instant::now();
     let seed = cfg.seed;
-    let drive = wire::drive_soak(
-        cfg,
-        64,
-        move |id, tier| {
-            let ccfg = wire::ClientConfig {
-                seed: seed ^ 0xBAC0_FF5E ^ id,
-                sleep: true,
-                ..wire::ClientConfig::default()
-            };
-            wire::Client::new(id, tier, ccfg, wire::tcp_dialer(sock, 500))
-        },
-        |_| {},
-    );
-    let drive = match drive {
-        Ok(d) => d,
-        Err(e) => return fail(&format!("retry budget exhausted: {e}")),
-    };
+    let mut fleet = wire::ClientFleet::new(cfg, 64, |id, tier| {
+        let ccfg = wire::ClientConfig {
+            seed: seed ^ 0xBAC0_FF5E ^ id,
+            sleep: true,
+            ..wire::ClientConfig::default()
+        };
+        wire::Client::new(id, tier, ccfg, wire::tcp_dialer(sock, 500))
+    });
+    if let Err(e) = serve::drive_soak(cfg, &mut fleet, |_, _| {}) {
+        return fail(&format!("retry budget exhausted: {e}"));
+    }
+    let c = fleet.finish();
     // One extra connection for the server's own account of the run.
     let ccfg = wire::ClientConfig { seed, sleep: true, ..wire::ClientConfig::default() };
     let mut probe = wire::Client::new(cfg.tenants + 2, 0, ccfg, wire::tcp_dialer(sock, 500));
@@ -716,7 +696,6 @@ fn serve_connect(cfg: &serve::SoakConfig, addr: &str, verify: bool) -> ExitCode 
          digest {:016x} ({} decisions), {} live + {} evicted",
         cfg.tenants, cfg.epochs, info.digest, info.digest_count, info.live, info.evicted,
     );
-    let c = &drive.clients;
     println!(
         "  clients: {} connects ({} reconnects), {} retries, {} duplicate acks, \
          {} resyncs, {} breaker trips",

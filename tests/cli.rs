@@ -1,5 +1,6 @@
 //! Drives the `repro` binary end to end: the experiment registry, usage
-//! errors and the fuzz oracle report. Nothing here archives under
+//! errors, the fuzz oracle report and the policy-server soak digest.
+//! Nothing here archives under
 //! `results/`: no test runs an experiment.
 
 use std::process::{Command, Output};
@@ -106,4 +107,35 @@ fn closed_stdout_exits_quietly() {
     let err = stderr(&out);
     assert!(!err.contains("panicked"), "repro panicked on a closed stdout:\n{err}");
     assert!(out.status.success(), "{:?}\n{err}", out.status);
+}
+
+#[test]
+fn serve_soak_pins_its_digest_through_the_flags() {
+    // The CI soak: storm faults, hung tenants, torn restore reads and an
+    // in-process kill/recover at epoch 31, all reached through the flag
+    // table. The digest is the same with or without the kill.
+    let out = repro(&[
+        "serve",
+        "--json",
+        "--tenants",
+        "32",
+        "--epochs",
+        "60",
+        "--faults",
+        "storm=0.2,seed=9,hang=0.25",
+        "--torn",
+        "0.25",
+        "--kill-at",
+        "31",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    for field in [
+        r#""killed": true"#,
+        r#""digest": "91314ae91f06036f""#,
+        r#""decisions": 1440"#,
+        r#""slos_met": true"#,
+    ] {
+        assert!(text.contains(field), "missing {field} in:\n{text}");
+    }
 }
